@@ -31,6 +31,10 @@ class LogBranchAmbiguity(LvrLabError):
     """Principal-branch logarithm would be crossed along the coupling homotopy."""
 
 
+class HomotopyTooCoarse(LogBranchAmbiguity):
+    """A phase step along the homotopy exceeds pi/2, so the branch cannot be tracked."""
+
+
 class DegenerateSpectrum(LvrLabError):
     """Two eigenvalues coincide beyond the resolution of divided differences."""
 

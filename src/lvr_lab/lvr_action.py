@@ -9,6 +9,8 @@ spectrum s_1..s_{N_l} of X = M M^dag.  The action splits into
 with a_i = a(lambda, s_i).  Logs are principal-branch, protected by a
 winding guard along the homotopy t |-> t*lambda from 0: a crossing of the
 negative real axis is an error, never silently unwound into the answer.
+The guarded action is batched: action_s_many runs one homotopy over a
+(k, n_l) array of spectra, and action_s is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrum,
+    HomotopyTooCoarse,
     LogBranchAmbiguity,
     LvrLabError,
     SingularMatrix,
@@ -171,42 +174,72 @@ def matrix_a(spec, params: ModelParams) -> np.ndarray:
     return a
 
 
-def _log_homotopy(w_path: np.ndarray, min_modulus: float = 1e-12) -> np.ndarray:
-    """Principal-style log of w(t=1) tracked along a homotopy from w(t=0)=1.
-
-    w_path has the homotopy on axis 0.  The phase is unwrapped along the
-    path; if any entry winds past the negative real axis (|accumulated
-    arg| >= pi) or the modulus collapses, the branch is ambiguous and we
-    refuse to pick one.
-    """
-    if np.min(np.abs(w_path)) < min_modulus:
+def _log_homotopy_batch(w_path: np.ndarray, min_modulus: float = 1e-12) -> tuple:
+    """Log of w(t=1) per batch row (axis 1), phase tracked along the homotopy
+    on axis 0 from w(t=0)=1.  Also returns the (k,) mask of rows too coarse
+    to track (a phase step > pi/2; their logs are NaN).  If a modulus collapses
+    or a tracked row winds past the negative real axis, the branch is
+    ambiguous and we refuse to pick one."""
+    n_t, k = w_path.shape[:2]
+    modulus = np.abs(w_path)
+    if np.min(modulus) < min_modulus:
         raise LogBranchAmbiguity("log argument vanished along the homotopy")
     theta = np.unwrap(np.angle(w_path), axis=0)
     theta = theta - theta[0]  # path starts at w=1, arg 0
-    if np.max(np.abs(np.diff(theta, axis=0))) > 0.5 * np.pi:
-        raise LogBranchAmbiguity(
-            "homotopy too coarse to track the log branch; refine failed"
-        )
-    if np.max(np.abs(theta)) >= np.pi - 1e-9:
+    step = np.abs(np.diff(theta, axis=0)).reshape(n_t - 1, k, -1).max(axis=(0, 2))
+    coarse = step > 0.5 * np.pi
+    if np.any(np.abs(theta).reshape(n_t, k, -1).max(axis=(0, 2))[~coarse] >= np.pi - 1e-9):
         raise LogBranchAmbiguity("log argument crossed the negative real axis")
-    return np.log(np.abs(w_path[-1])) + 1j * theta[-1]
+    log = np.log(modulus[-1]) + 1j * theta[-1]
+    log[coarse] = np.nan
+    return log, coarse
+
+
+def _log_homotopy(w_path: np.ndarray, min_modulus: float = 1e-12) -> np.ndarray:
+    """Principal-style log of w(t=1) tracked along one homotopy on axis 0."""
+    log, coarse = _log_homotopy_batch(w_path[:, None], min_modulus)
+    if coarse[0]:
+        raise HomotopyTooCoarse("homotopy too coarse to track the log branch")
+    return log[0]
 
 
 def _pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     """sum_{k=0}^{p-1} a_i^k * a_j^(p-1-k), broadcast over leading axes."""
     out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=complex)
     for k in range(p):
-        out = out + a_i**k * a_j ** (p - 1 - k)
+        out += a_i**k * a_j ** (p - 1 - k)
     return out
 
 
-def _a_on_homotopy(spec: Spectrum, params: ModelParams, n_t: int) -> tuple:
-    ts = np.linspace(0.0, 1.0, n_t)
-    s = spec.array.astype(complex)
-    z = -(ts[:, None] * params.lam) * s[None, :] ** (params.p - 1)
-    ev = evaluator(params.p)
-    t_vals = ev.tp_eval_many(z.ravel()).reshape(z.shape)
-    return ts, s[None, :] * t_vals
+def action_s_many(s_batch, params: ModelParams, n_t: int = 96) -> tuple:
+    """Loop vertex action (s_mat, s_vec), each of shape (k,), for (k, n_l) spectra.
+
+    One tp_eval_many call covers the (n_t, k, n_l) homotopy grid.  Only rows
+    whose matrix or vector path is too coarse are redone at doubled n_t, up
+    to 1536 nodes; a vanishing or crossing log in any row raises."""
+    s_batch = np.asarray(s_batch, dtype=float)
+    if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
+        raise ValueError(f"expected (k, n_l={params.n_l}) spectra, got {s_batch.shape}")
+    p, lam = params.p, params.lam
+    s_mat, s_vec = np.zeros((2, len(s_batch)), dtype=complex)
+    rows = np.arange(len(s_batch) if lam != 0 else 0)
+    while rows.size:
+        ts = np.linspace(0.0, 1.0, n_t)
+        s = s_batch[rows].astype(complex)
+        z = -(ts[:, None, None] * lam) * s[None] ** (p - 1)
+        a = s[None] * evaluator(p).tp_eval_many(z.ravel()).reshape(z.shape)
+        tl = (ts * lam)[:, None, None]
+        w_mat = 1 + tl[..., None] * _pair_sum(a[..., :, None], a[..., None, :], p)
+        log_mat, coarse_mat = _log_homotopy_batch(w_mat)
+        log_vec, coarse_vec = _log_homotopy_batch(1 + tl * a ** (p - 1))
+        ok = ~(coarse_mat | coarse_vec)
+        s_mat[rows[ok]] = -np.sum(log_mat[ok], axis=(1, 2))
+        s_vec[rows[ok]] = -(params.n_r - params.n_l) * np.sum(log_vec[ok], axis=1)
+        rows = rows[~ok]
+        if rows.size and n_t >= 1536:
+            raise HomotopyTooCoarse(f"homotopy too coarse to track the log branch at n_t={n_t}")
+        n_t *= 2
+    return s_mat, s_vec
 
 
 def action_s(spec, params: ModelParams, n_t: int = 96) -> LoopVertexAction:
@@ -214,27 +247,8 @@ def action_s(spec, params: ModelParams, n_t: int = 96) -> LoopVertexAction:
     spec = _as_spectrum(spec)
     if len(spec) != params.n_l:
         raise ValueError(f"spectrum has {len(spec)} entries, expected n_l={params.n_l}")
-    if params.lam == 0:
-        return LoopVertexAction(0j, 0j, 0j)
-    p, lam = params.p, params.lam
-    attempt = n_t
-    while True:
-        ts, a = _a_on_homotopy(spec, params, attempt)
-        tl = (ts * lam)[:, None, None]
-        w_mat = 1 + tl * _pair_sum(a[:, :, None], a[:, None, :], p)
-        w_vec = 1 + (ts * lam)[:, None] * a ** (p - 1)
-        try:
-            log_mat = _log_homotopy(w_mat)
-            log_vec = _log_homotopy(w_vec)
-            break
-        except LogBranchAmbiguity as exc:
-            if "too coarse" in str(exc) and attempt < 1536:
-                attempt *= 2
-                continue
-            raise
-    s_mat = -np.sum(log_mat)
-    s_vec = -(params.n_r - params.n_l) * np.sum(log_vec)
-    return LoopVertexAction(complex(s_mat), complex(s_vec), complex(s_mat + s_vec))
+    s_mat, s_vec = action_s_many(spec.array[None], params, n_t)
+    return LoopVertexAction(complex(s_mat[0]), complex(s_vec[0]), complex(s_mat[0] + s_vec[0]))
 
 
 def _weighted_pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:

@@ -26,8 +26,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import DivergentIntegrand
-from .lvr_action import ModelParams, _log_homotopy, evaluator
+from .errors import DivergentIntegrand, ToleranceNotMet
+from .lvr_action import ModelParams, _log_homotopy, _pair_sum, action_s_many, evaluator
 
 __all__ = [
     "ZResult",
@@ -45,6 +45,7 @@ __all__ = [
 
 DEFAULT_NODES = {1: 384, 2: 128, 3: 72, 4: 40}
 MC_CHUNK = 8192
+HOMOTOPY_CHUNK = 64  # risky spectra per batched homotopy; larger ones gain no time, cost memory
 
 
 @dataclass(frozen=True)
@@ -94,32 +95,21 @@ def _pair_log_table(params: ModelParams, nodes: np.ndarray, n_t: int = 48) -> np
         # negative axis), so the principal log is already the homotopy log
         z = -lam * nodes.astype(complex) ** (p - 1)
         a = nodes * ev.tp_eval_many(z)
-        pair = np.zeros((nodes.size, nodes.size), dtype=complex)
-        for k in range(p):
-            pair += a[:, None] ** k * a[None, :] ** (p - 1 - k)
-        return np.log(1 + lam * pair)
+        return np.log(1 + lam * _pair_sum(a[:, None], a[None, :], p))
     ts = np.linspace(0.0, 1.0, n_t)
     z = -(ts[:, None] * lam) * nodes[None, :].astype(complex) ** (p - 1)
     a = nodes[None, :] * ev.tp_eval_many(z.ravel()).reshape(z.shape)
-    pair = np.zeros((n_t, nodes.size, nodes.size), dtype=complex)
-    for k in range(p):
-        pair += a[:, :, None] ** k * a[:, None, :] ** (p - 1 - k)
-    w = 1 + (ts * lam)[:, None, None] * pair
+    w = 1 + (ts * lam)[:, None, None] * _pair_sum(a[:, :, None], a[:, None, :], p)
     return _log_homotopy(w)
 
 
-def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
-    n, p, lam = params.n_l, params.p, params.lam
+def _log_measure(n: int, n_nodes: int, s_max: float) -> tuple:
+    """Gauss-Legendre nodes s on [0, s_max], the index grid of their n-fold
+    tensor product, and the log Wishart measure Delta(s)^2 e^{-N sum s} on it."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
-    s_max = _s_max(params)
     s = 0.5 * s_max * (x + 1.0)
-    wq = 0.5 * s_max * w
     # log-domain 1-d weights: quadrature weight times e^{-N s}
-    log_base = np.log(wq) - n * s
-    if mode == "original":
-        log_re = -(n * lam) * s.astype(complex) ** p
-    else:
-        log_table = _pair_log_table(params, s)
+    log_base = np.log(0.5 * s_max * w) - n * s
     idx = np.indices((n_nodes,) * n)
     log_den = np.zeros((n_nodes,) * n)
     for i in range(n):
@@ -129,11 +119,19 @@ def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
         for j in range(i + 1, n):
             with np.errstate(divide="ignore"):
                 log_den = log_den + 2.0 * np.log(np.abs(s[idx[i]] - s[idx[j]]))
+    return s, idx, log_den
+
+
+def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
+    n, p, lam = params.n_l, params.p, params.lam
+    s, idx, log_den = _log_measure(n, n_nodes, _s_max(params))
     log_num = log_den.astype(complex)
     if mode == "original":
+        log_re = -(n * lam) * s.astype(complex) ** p
         for i in range(n):
             log_num = log_num + log_re[idx[i]]
     else:
+        log_table = _pair_log_table(params, s)
         for i in range(n):
             for j in range(n):
                 log_num = log_num - log_table[idx[i], idx[j]]
@@ -166,26 +164,23 @@ def _principal_log_action(params: ModelParams, s_batch: np.ndarray) -> np.ndarra
     lam the principal branch is safe only for samples whose pair sums
     satisfy |lam| * max |pair| < 1 (the argument then stays inside the
     unit disk around 1); the others are recomputed with the
-    homotopy-guarded action.
+    homotopy-guarded action, one batched homotopy per HOMOTOPY_CHUNK of them.
     """
     p, lam = params.p, params.lam
     ev = evaluator(p)
     a = ev.a_eval_many(lam, s_batch.ravel().astype(complex)).reshape(s_batch.shape)
-    pair = np.zeros(s_batch.shape + (s_batch.shape[1],), dtype=complex)
-    for k in range(p):
-        pair += a[:, :, None] ** k * a[:, None, :] ** (p - 1 - k)
+    pair = _pair_sum(a[:, :, None], a[:, None, :], p)
     s_mat = -np.sum(np.log(1 + lam * pair), axis=(1, 2))
     vec = 1 + lam * a ** (p - 1)
     s_vec = -(params.n_r - params.n_l) * np.sum(np.log(vec), axis=1)
     s_val = s_mat + s_vec
     if lam.imag == 0.0 and lam.real >= 0.0:
         return s_val
-    risky = np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99
-    if np.any(risky):
-        from .lvr_action import Spectrum, action_s
-
-        for i in np.nonzero(risky)[0]:
-            s_val[i] = action_s(Spectrum(tuple(np.sort(s_batch[i]))), params).total
+    risky = np.nonzero(np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99)[0]
+    for lo in range(0, risky.size, HOMOTOPY_CHUNK):
+        rows = risky[lo : lo + HOMOTOPY_CHUNK]
+        fb_mat, fb_vec = action_s_many(s_batch[rows], params)
+        s_val[rows] = fb_mat + fb_vec
     return s_val
 
 
@@ -288,7 +283,7 @@ def jacobian_positivity_check(params: ModelParams, spectra) -> JacobianReport:
     lam = complex(params.lam)
     if lam.imag != 0 or lam.real <= 0:
         raise ValueError("positivity check is defined for real lam > 0")
-    from .lvr_action import _pair_sum, matrix_a
+    from .lvr_action import matrix_a
 
     min_factor = math.inf
     n_factors = 0
@@ -296,7 +291,8 @@ def jacobian_positivity_check(params: ModelParams, spectra) -> JacobianReport:
     for spec in spectra:
         a = matrix_a(spec, params)
         w = 1 + lam.real * _pair_sum(a[:, None], a[None, :], params.p)
-        assert np.max(np.abs(w.imag)) < 1e-10
+        if (imag := float(np.max(np.abs(w.imag)))) >= 1e-10:
+            raise ToleranceNotMet(f"spectrum {n_spectra}: Jacobian factor imag part {imag:.3e}")
         min_factor = min(min_factor, float(np.min(w.real)))
         n_factors += w.size
         n_spectra += 1
@@ -318,20 +314,7 @@ def measure_self_test(n: int, n_nodes: int | None = None) -> float:
     if not 1 <= n <= 4:
         raise ValueError("self-test covers 1 <= N <= 4")
     n_nodes = DEFAULT_NODES[n] if n_nodes is None else n_nodes
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    s_max = 40.0 / n
-    s = 0.5 * s_max * (x + 1.0)
-    wq = 0.5 * s_max * w
-    log_base = np.log(wq) - n * s
-    idx = np.indices((n_nodes,) * n)
-    log_int = np.zeros((n_nodes,) * n)
-    for i in range(n):
-        log_int = log_int + log_base[idx[i]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            with np.errstate(divide="ignore"):
-                log_int = log_int + 2.0 * np.log(np.abs(s[idx[i]] - s[idx[j]]))
-    total = float(np.exp(log_int).sum())
+    total = float(np.exp(_log_measure(n, n_nodes, 40.0 / n)[2]).sum())
     want = float(z0_closed_form(n))
     return abs(total - want) / want
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvr_lab import lvr_action
 from lvr_lab.errors import (
     CutProximity,
     DegenerateSpectrum,
+    HomotopyTooCoarse,
     LogBranchAmbiguity,
+    LvrLabError,
     SingularMatrix,
 )
 from lvr_lab.lvr_action import (
@@ -17,7 +20,9 @@ from lvr_lab.lvr_action import (
     PacmanDomain,
     Spectrum,
     _log_homotopy,
+    _log_homotopy_batch,
     action_s,
+    action_s_many,
     d_action_dlam,
     grad_spectral,
     matrix_a,
@@ -193,7 +198,7 @@ class TestLogHomotopyGuard:
 
     def test_detects_coarse_path(self):
         w = np.exp(1j * np.array([0.0, 0.9 * np.pi, 1.8 * np.pi]))[:, None]
-        with pytest.raises(LogBranchAmbiguity, match="coarse"):
+        with pytest.raises(HomotopyTooCoarse, match="coarse"):
             _log_homotopy(w)
 
     def test_tracks_large_but_legal_phase(self):
@@ -201,6 +206,96 @@ class TestLogHomotopyGuard:
         w = np.exp(0.9j * np.pi * ts)[:, None]
         got = _log_homotopy(w)
         assert got[0] == pytest.approx(0.9j * np.pi, rel=1e-12)
+
+
+class TestActionSMany:
+    def test_guard_flags_only_the_coarse_row(self):
+        coarse = np.exp(1j * np.array([0.0, 0.9 * np.pi, 1.8 * np.pi]))
+        smooth = np.exp(0.4j * np.pi * np.linspace(0, 1, 3))
+        w = np.stack([coarse, smooth], axis=1)[:, :, None]
+        log, mask = _log_homotopy_batch(w)
+        assert mask.tolist() == [True, False]
+        assert np.array_equal(log[1], _log_homotopy(w[:, 1]))
+
+    def test_crossing_in_one_row_raises(self):
+        ts = np.linspace(0, 1, 200)
+        smooth = np.exp(0.3j * np.pi * ts)
+        cross = np.exp(1.2j * np.pi * ts)
+        w = np.stack([smooth, cross, smooth], axis=1)[:, :, None]
+        with pytest.raises(LogBranchAmbiguity, match="crossed") as exc:
+            _log_homotopy_batch(w)
+        assert not isinstance(exc.value, HomotopyTooCoarse)
+
+    def test_zero_coupling_and_shape(self):
+        s_mat, s_vec = action_s_many(np.ones((3, 2)), params(p=3, lam=0.0, n_l=2))
+        assert s_mat.tolist() == [0j] * 3 and s_vec.tolist() == [0j] * 3
+        with pytest.raises(ValueError):
+            action_s_many(np.ones((3, 2)), params(p=3, lam=0.1, n_l=3))
+
+    def test_only_coarse_rows_are_refined(self, monkeypatch):
+        guard = lvr_action._log_homotopy_batch
+        seen = []
+
+        def flag_row0_once(w_path):
+            log, coarse = guard(w_path)
+            seen.append(w_path.shape[:2])
+            if w_path.shape[0] == 96:
+                coarse[0] = True
+            return log, coarse
+
+        spectra = np.array([[0.3, 1.1], [0.5, 2.0], [0.9, 1.4]])
+        pr = params(p=3, lam=0.3 + 0.2j, n_l=2, n_r=3)
+        monkeypatch.setattr(lvr_action, "_log_homotopy_batch", flag_row0_once)
+        s_mat, s_vec = action_s_many(spectra, pr)
+        monkeypatch.undo()
+        assert seen == [(96, 3), (96, 3), (192, 1), (192, 1)]
+        # the redone row is a batch of its own, so it is bit-identical
+        want = action_s(Spectrum(tuple(spectra[0])), pr, n_t=192)
+        assert s_mat[0] == want.s_mat and s_vec[0] == want.s_vec
+        for i, row in enumerate(spectra[1:], start=1):
+            want = action_s(Spectrum(tuple(row)), pr)
+            assert s_mat[i] == pytest.approx(want.s_mat, rel=1e-11)
+            assert s_vec[i] == pytest.approx(want.s_vec, rel=1e-11)
+
+    def test_refinement_stops_at_cap(self, monkeypatch):
+        guard = lvr_action._log_homotopy_batch
+        sizes = []
+
+        def always_coarse(w_path):
+            log, coarse = guard(w_path)
+            sizes.append(w_path.shape[0])
+            return log, np.ones_like(coarse)
+
+        monkeypatch.setattr(lvr_action, "_log_homotopy_batch", always_coarse)
+        with pytest.raises(HomotopyTooCoarse, match="n_t=1536"):
+            action_s_many(np.array([[0.5, 1.5]]), params(p=2, lam=0.2j, n_l=2))
+        assert sizes[::2] == [96, 192, 384, 768, 1536]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    p=st.integers(2, 4),
+    modulus=st.floats(0.01, 0.9),
+    arg=st.floats(-(np.pi - 0.51), np.pi - 0.51),
+    seed=st.integers(0, 10**6),
+)
+def test_action_s_many_matches_per_sample(k, n, extra, p, modulus, arg, seed):
+    pr = ModelParams(p=p, lam=complex(modulus * np.exp(1j * arg)), n_l=n, n_r=n + extra)
+    assert pr.is_in_pacman()
+    spectra = np.sort(np.random.default_rng(seed).uniform(0, 3, (k, n)), axis=1)
+    try:
+        want = [action_s(Spectrum(tuple(row)), pr) for row in spectra]
+    except LvrLabError:
+        with pytest.raises(LvrLabError):
+            action_s_many(spectra, pr)
+        return
+    s_mat, s_vec = action_s_many(spectra, pr)
+    for i, w in enumerate(want):
+        assert s_mat[i] == pytest.approx(w.s_mat, rel=1e-11)
+        assert s_vec[i] == pytest.approx(w.s_vec, rel=1e-11)
 
 
 class TestResolventDerivative:

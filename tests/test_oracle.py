@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lvr_lab.errors import DivergentIntegrand
-from lvr_lab.lvr_action import ModelParams
+from lvr_lab import lvr_action, oracle
+from lvr_lab.errors import DivergentIntegrand, ToleranceNotMet
+from lvr_lab.lvr_action import ModelParams, Spectrum, action_s, evaluator
 from lvr_lab.oracle import (
+    HOMOTOPY_CHUNK,
+    MC_CHUNK,
     McConfig,
+    _principal_log_action,
     free_energy,
     jacobian_positivity_check,
     measure_self_test,
@@ -181,6 +185,56 @@ def test_jacobian_positivity():
         )
     with pytest.raises(ValueError):
         jacobian_positivity_check(ModelParams(p=2, lam=0.0, n_l=2, n_r=2), spectra[:1])
+
+
+def test_jacobian_complex_factor_raises(monkeypatch):
+    real_a = lvr_action.matrix_a
+    monkeypatch.setattr(
+        lvr_action, "matrix_a", lambda spec, params: real_a(spec, params) + 1e-3j
+    )
+    with pytest.raises(ToleranceNotMet, match="imag part"):
+        jacobian_positivity_check(
+            ModelParams(p=2, lam=0.5, n_l=2, n_r=2), [np.array([0.5, 1.5])]
+        )
+
+
+def per_sample_principal_log_action(params, s_batch):
+    """The per-sample fallback loop the batched homotopy replaced."""
+    p, lam = params.p, params.lam
+    a = evaluator(p).a_eval_many(lam, s_batch.ravel().astype(complex)).reshape(s_batch.shape)
+    pair = np.zeros(s_batch.shape + (s_batch.shape[1],), dtype=complex)
+    for k in range(p):
+        pair += a[:, :, None] ** k * a[:, None, :] ** (p - 1 - k)
+    s_mat = -np.sum(np.log(1 + lam * pair), axis=(1, 2))
+    vec = 1 + lam * a ** (p - 1)
+    s_vec = -(params.n_r - params.n_l) * np.sum(np.log(vec), axis=1)
+    s_val = s_mat + s_vec
+    risky = np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99
+    for i in np.nonzero(risky)[0]:
+        s_val[i] = action_s(Spectrum(tuple(np.sort(s_batch[i]))), params).total
+    return s_val, risky
+
+
+def test_batched_fallback_matches_per_sample_loop(monkeypatch):
+    pr = ModelParams(p=3, lam=0.05 * np.exp(1j * np.pi / 4), n_l=3, n_r=3)
+    rng = np.random.Generator(np.random.Philox(1234))
+    raw = rng.standard_normal((MC_CHUNK, 3, 3, 2))
+    m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(6)
+    s_batch = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
+    want, risky = per_sample_principal_log_action(pr, s_batch)
+    sizes = []
+    kernel = oracle.action_s_many
+
+    def recording(s, params):
+        sizes.append(len(s))
+        return kernel(s, params)
+
+    monkeypatch.setattr(oracle, "action_s_many", recording)
+    got = _principal_log_action(pr, s_batch)
+    assert sum(sizes) == np.count_nonzero(risky) > HOMOTOPY_CHUNK
+    assert max(sizes) == HOMOTOPY_CHUNK
+    assert np.array_equal(got[~risky], want[~risky])
+    np.testing.assert_allclose(got[risky], want[risky], rtol=1e-11, atol=0)
 
 
 def test_fd_series_extraction():
