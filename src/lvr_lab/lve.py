@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import DegenerateSpectrum, QuadratureFailure, SizeBound
-from .lvr_action import ModelParams, evaluator
+from .lvr_action import ModelParams, grad_spectral_many
 from .oracle import MC_CHUNK, McConfig, _principal_log_action
 
 __all__ = [
@@ -511,22 +511,26 @@ def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int, h: fl
 # gradients of the action in the matrix entries
 
 
-def _d_eigen(params: ModelParams, vals: np.ndarray) -> np.ndarray:
-    """dS/ds_i for a (batch, N) spectrum array via the pairwise form:
-    the action is a symmetric double sum, so the eigenvalue derivative
-    is twice the one-sided pair derivative summed over partners."""
-    p, lam = params.p, complex(params.lam)
-    ev = evaluator(p)
-    a = ev.a_eval_many(lam, vals.ravel().astype(complex)).reshape(vals.shape)
-    adu = 1.0 / (1.0 + p * lam * a ** (p - 1))
-    pair = np.zeros(vals.shape + (vals.shape[1],), dtype=complex)
-    dpair = np.zeros_like(pair)
-    for k in range(p):
-        pair += a[:, :, None] ** k * a[:, None, :] ** (p - 1 - k)
-        if k >= 1:
-            dpair += k * a[:, :, None] ** (k - 1) * a[:, None, :] ** (p - 1 - k)
-    g1 = -lam * dpair * adu[:, :, None] / (1.0 + lam * pair)
-    return 2.0 * np.sum(g1, axis=2)
+def _eigh(x: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of a (batch, N, N) Hermitian
+    stack: closed form at N = 2, LAPACK otherwise.  At N = 2 the top
+    eigenvector comes from the row of X - s_+ I whose diagonal entry does
+    not cancel, scaled to a largest component of 1 before normalizing; the
+    other is its orthogonal complement, and X = a I gets the identity."""
+    if x.shape[-1] != 2:
+        return np.linalg.eigh(x)
+    a, d, b = x[:, 0, 0].real, x[:, 1, 1].real, x[:, 0, 1]
+    half = 0.5 * (a - d)
+    r = np.hypot(half, np.abs(b))
+    vals = np.stack([0.5 * (a + d) - r, 0.5 * (a + d) + r], axis=1)
+    upper = half > 0
+    off = np.where(upper, b.conj(), b)
+    den = np.where(r > 0, r + np.abs(half), 1.0)  # >= |off|
+    ratio = off.real / den + 1j * (off.imag / den)
+    c = 1.0 / np.sqrt(1.0 + ratio.real**2 + ratio.imag**2)
+    top0, top1 = np.where(upper, c, ratio * c), np.where(upper, ratio * c, c)
+    vecs = np.stack([top1.conj(), top0, -top0.conj(), top1], axis=1).reshape(-1, 2, 2)
+    return vals, vecs
 
 
 def _s_of_matrices(params: ModelParams, ms: np.ndarray) -> np.ndarray:
@@ -555,8 +559,9 @@ def _grad_fd(params: ModelParams, m: np.ndarray, h: float = 1e-6):
     return dm, dmbar.T
 
 
-def _grads_batch(params: ModelParams, m: np.ndarray):
-    """(G M, M^dag G) per sample, where G is dS/dX in the eigenbasis.
+def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
+    """One gradient side per sample: G M (side "gm") or M^dag G (side
+    "mdg"), where G is dS/dX in the eigenbasis.
 
     dS/dM^dag_{ab} = (G M)_{ba} and dS/dM_{ab} = (M^dag G)_{ba}.  Samples
     with nearly coincident eigenvalues fall back to entrywise finite
@@ -564,22 +569,21 @@ def _grads_batch(params: ModelParams, m: np.ndarray):
     cluster is noise-sensitive even though the assembled gradient is
     continuous there.
     """
-    mdag = m.conj().transpose(0, 2, 1)
-    x = m @ mdag
-    vals, vecs = np.linalg.eigh(x)
+    vals, vecs = _eigh(np.einsum("xij,xkj->xik", m, m.conj()))
     vals = np.clip(vals, 0.0, None)
-    d = _d_eigen(params, vals)
-    g = (vecs * d[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    gm = g @ m
-    mdg = mdag @ g
+    d = grad_spectral_many(vals, params)
+    g = np.einsum("xij,xj,xkj->xik", vecs, d, vecs.conj())
+    if side == "gm":
+        out = np.einsum("xij,xjk->xik", g, m)
+    else:
+        out = np.einsum("xji,xjk->xik", m.conj(), g)
     if vals.shape[1] > 1:
         scale = 1.0 + vals[:, -1]
         bad = np.min(np.diff(vals, axis=1), axis=1) < 1e-9 * scale
         for idx in np.nonzero(bad)[0]:
             dm, dd = _grad_fd(params, m[idx])
-            gm[idx] = dd.T
-            mdg[idx] = dm.T
-    return gm, mdg
+            out[idx] = (dd if side == "gm" else dm).T
+    return out
 
 
 def grad_s_entries(params: ModelParams, m: np.ndarray, method: str = "spectral"):
@@ -598,8 +602,8 @@ def grad_s_entries(params: ModelParams, m: np.ndarray, method: str = "spectral")
             raise DegenerateSpectrum(
                 "eigenvalues too close for a stable eigenbasis; use method='fd'"
             )
-    gm, mdg = _grads_batch(params, m[None])
-    return mdg[0].T, gm[0].T
+    dm = _grads_batch(params, m[None], "mdg")[0].T
+    return dm, _grads_batch(params, m[None], "gm")[0].T
 
 
 # Monte Carlo amplitudes
@@ -669,9 +673,32 @@ def amplitude_trivial(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
     return AmplitudeEstimate("empty", complex(mean) / n**2, err, cfg.n_samples, cfg.seed)
 
 
-def _w_nodes(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (x + 1.0), 0.5 * w
+# QUADPACK qk15: the Kronrod abscissae in [0, 1) of [-1, 1], descending,
+# their K15 weights, and the G7 weights of every second abscissa
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+
+
+def _w_rule():
+    """Gauss-Kronrod 7/15 on [0, 1]: the 15 nodes, ascending, and a (2, 15)
+    weight array holding K15 in row 0 and the embedded G7 in row 1."""
+    w = np.array([_WGK, _WG])
+    x = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+    return 0.5 * (x + 1.0), 0.5 * np.concatenate([w[:, :-1], w[:, ::-1]], axis=1)
 
 
 def amplitude_tree2(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
@@ -679,9 +706,10 @@ def amplitude_tree2(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
 
     The two replicas share a Gaussian component so that their cross
     covariance is exactly w/N; the edge contracts the M^dag gradient of
-    the first action against the M gradient of the second, and the w
-    integral runs over Gauss-Legendre nodes with a doubled-node check
-    stored on the estimate.
+    the first action against the M gradient of the second.  The w
+    integral runs over the 15 nodes of a Gauss-Kronrod 7/15 rule; the
+    estimate is the K15 sum, and the gap to the embedded G7 sum of the
+    same samples is stored on the estimate as w_node_check.
     """
     if params.lam == 0:
         return AmplitudeEstimate("tree2", 0j, 1e-16, cfg.n_samples, cfg.seed)
@@ -689,10 +717,8 @@ def amplitude_tree2(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
     n = params.n_l
     if n > 3:
         raise SizeBound("tree amplitudes bounded at N = 3")
-    w8, q8 = _w_nodes(8)
-    w16, q16 = _w_nodes(16)
-    total8 = 0j
-    total16 = 0j
+    nodes, weights = _w_rule()
+    totals = np.zeros(2, dtype=complex)
     total_sq = 0.0
     base, rem = divmod(cfg.n_samples, cfg.n_workers)
     for worker in range(cfg.n_workers):
@@ -702,24 +728,21 @@ def amplitude_tree2(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
         while done < n_w:
             take = min(MC_CHUNK, n_w - done)
             g = _gaussian_chunk(rng, take, n, 3)
-            y8 = np.zeros(take, dtype=complex)
-            y16 = np.zeros(take, dtype=complex)
-            for nodes, weights, acc in ((w8, q8, y8), (w16, q16, y16)):
-                for wv, qw in zip(nodes, weights):
-                    m1 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 1]
-                    m2 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 2]
-                    gm1, _ = _grads_batch(params, m1)
-                    _, mdg2 = _grads_batch(params, m2)
-                    acc += qw * np.einsum("xij,xji->x", gm1, mdg2)
-            total8 += y8.sum()
-            total16 += y16.sum()
-            total_sq += float(np.sum(np.abs(y16) ** 2))
+            y = np.zeros((2, take), dtype=complex)
+            for wv, q in zip(nodes, weights.T):
+                m1 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 1]
+                m2 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 2]
+                gm1 = _grads_batch(params, m1, "gm")
+                mdg2 = _grads_batch(params, m2, "mdg")
+                y += q[:, None] * np.einsum("xij,xji->x", gm1, mdg2)
+            totals += y.sum(axis=1)
+            total_sq += float(np.sum(np.abs(y[0]) ** 2))
             done += take
     norm = n ** (-3)
-    mean = total16 / cfg.n_samples
+    mean = totals[0] / cfg.n_samples
     var = max(total_sq / cfg.n_samples - abs(mean) ** 2, 0.0)
     err = max(math.sqrt(var / cfg.n_samples), 1e-16) * norm
-    check = abs(total16 - total8) / cfg.n_samples * norm
+    check = float(abs(totals[0] - totals[1])) / cfg.n_samples * norm
     return AmplitudeEstimate(
         "tree2", complex(mean) * norm, err, cfg.n_samples, cfg.seed, w_node_check=check
     )

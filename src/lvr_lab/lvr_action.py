@@ -165,13 +165,17 @@ def matrix_a(spec, params: ModelParams) -> np.ndarray:
                     f"eigenvalue index {i} (s={si.real:g}): {inner}"
                 ) from inner
         raise exc
+    _check_a_residual(a, s, params)
+    return a
+
+
+def _check_a_residual(a: np.ndarray, s: np.ndarray, params: ModelParams) -> None:
+    """Raise unless every a satisfies s = a + lam * a^p to 1e-10."""
     res = np.abs(a + params.lam * a**params.p - s)
     if np.max(res) > 1e-10:
-        i = int(np.argmax(res))
-        raise ToleranceNotMet(
-            f"a-map residual {res[i]:.3e} at eigenvalue index {i}"
-        )
-    return a
+        idx = np.unravel_index(np.argmax(res), res.shape)
+        where = ", ".join(str(int(i)) for i in idx)
+        raise ToleranceNotMet(f"a-map residual {res[idx]:.3e} at eigenvalue index {where}")
 
 
 def _log_homotopy_batch(w_path: np.ndarray, min_modulus: float = 1e-12) -> tuple:
@@ -255,7 +259,7 @@ def _weighted_pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     """sum_{k=1}^{p-1} k * a_i^(k-1) * a_j^(p-1-k)."""
     out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=complex)
     for k in range(1, p):
-        out = out + k * a_i ** (k - 1) * a_j ** (p - 1 - k)
+        out += k * a_i ** (k - 1) * a_j ** (p - 1 - k)
     return out
 
 
@@ -283,23 +287,32 @@ def d_action_dlam(spec, params: ModelParams) -> complex:
     return complex(d_mat + d_vec)
 
 
-def grad_spectral(spec, params: ModelParams) -> np.ndarray:
-    """h_m = d(total)/d(s_m): gradient of the action in the eigenvalues.
+def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
+    """h[r, m] = d(total)/d(s_m) for each row r of (k, n_l) spectra.
 
     Uses the symmetry of the pair sum to fold the i- and j-derivatives
     into one weighted sum, then the chain rule da/ds = 1/(1 + p lam a^(p-1)).
     """
-    spec = _as_spectrum(spec)
+    s_batch = np.asarray(s_batch, dtype=float)
+    if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
+        raise ValueError(f"expected (k, n_l={params.n_l}) spectra, got {s_batch.shape}")
     p, lam = params.p, params.lam
-    a = matrix_a(spec, params)
+    s = s_batch.astype(complex)
+    a = evaluator(p).a_eval_many(lam, s.ravel()).reshape(s.shape)
+    _check_a_residual(a, s, params)
     a_du = 1.0 / (1.0 + p * lam * a ** (p - 1))
-    ai, aj = a[:, None], a[None, :]
+    ai, aj = a[:, :, None], a[:, None, :]
     w = 1 + lam * _pair_sum(ai, aj, p)
-    d1 = _weighted_pair_sum(ai, aj, p)
-    h = -2.0 * lam * a_du * np.sum(d1 / w, axis=1)
-    wv = 1 + lam * a ** (p - 1)
-    h = h - (params.n_r - params.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv
+    h = -2.0 * lam * a_du * np.sum(_weighted_pair_sum(ai, aj, p) / w, axis=2)
+    if params.n_r > params.n_l:
+        wv = 1 + lam * a ** (p - 1)
+        h -= (params.n_r - params.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv
     return h
+
+
+def grad_spectral(spec, params: ModelParams) -> np.ndarray:
+    """h_m = d(total)/d(s_m): gradient of the action in the eigenvalues."""
+    return grad_spectral_many(_as_spectrum(spec).array[None], params)[0]
 
 
 def resolvent_derivative_check(spec, params: ModelParams) -> float:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lvr_lab.fuss_catalan import FcEvaluator, cut_start, fc_numbers_table
+from lvr_lab.fuss_catalan import FcEvaluator, fc_numbers_table
 from lvr_lab.lvr_action import (
     ModelParams,
     PacmanDomain,
@@ -43,22 +43,9 @@ from lvr_lab.lve import (
     faadibruno_numeric_check,
     lve_partial_sum,
 )
+from lvr_lab.verify import _cut_plane_samples
 
 WIDE = PacmanDomain(epsilon=1.56, eta=0.2)
-
-
-def _cut_plane_samples(p: int, count: int, rng) -> np.ndarray:
-    # |z| <= 10, at least 1e-3 from the cut [R_p, inf)
-    r_p = cut_start(p)
-    out = []
-    while len(out) < count:
-        z = rng.uniform(-10, 10) + 1j * rng.uniform(-10, 10)
-        if abs(z) > 10:
-            continue
-        if z.real >= r_p - 1e-3 and abs(z.imag) < 1e-3:
-            continue
-        out.append(z)
-    return np.array(out)
 
 
 def test_01_functional_equation_residual():

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import i1e
@@ -31,8 +33,12 @@ from lvr_lab.lve import (
     grad_s_entries,
     lve_partial_sum,
     trees_to_csv,
+    _eigh,
+    _gaussian_chunk,
+    _w_rule,
+    _worker_rng,
 )
-from lvr_lab.oracle import McConfig, free_energy
+from lvr_lab.oracle import MC_CHUNK, McConfig, free_energy
 from lvr_lab.lvr_action import ModelParams
 
 
@@ -333,6 +339,34 @@ def test_grad_degenerate_raises_and_fd_value():
     assert np.abs(dm - dd.conj().T).max() < 1e-8
 
 
+entry = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=entry, d=entry, b_re=entry, b_im=entry,
+       u=st.tuples(entry, entry, entry, entry), eps=st.floats(0.0, 1e-8))
+def test_closed_form_eigh_matches_lapack(a, d, b_re, b_im, u, eps):
+    b = complex(b_re, b_im)
+    v = np.array([complex(u[0], u[1]), complex(u[2], u[3])])
+    rank1 = np.outer(v, v.conj())
+    x = np.array([
+        [[a, b], [b.conjugate(), d]],
+        np.diag([min(a, d), max(a, d)]),
+        np.diag([max(a, d), min(a, d)]),
+        np.diag([a, a]),
+        rank1,
+        rank1 + eps * np.eye(2),  # near-singular
+    ], dtype=complex)
+    vals, vecs = _eigh(x)
+    tol = 1e-13 * (1.0 + np.abs(x).max(axis=(1, 2)))
+    assert np.all(np.abs(vals - np.linalg.eigvalsh(x)).max(axis=1) <= tol)
+    rebuilt = np.einsum("xij,xj,xkj->xik", vecs, vals, vecs.conj())
+    assert np.all(np.abs(rebuilt - x).max(axis=(1, 2)) <= tol)
+    gram = np.einsum("xji,xjk->xik", vecs.conj(), vecs)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-13
+    assert np.array_equal(vecs[3], np.eye(2))
+
+
 def test_grad_rejects_wrong_shape():
     pr = params_sq(2, 0.1, 2)
     with pytest.raises(ValueError):
@@ -456,6 +490,50 @@ def test_amplitude_tree2_tracks_free_energy_gap():
     assert resid < 0.2 * abs(gap) + 3 * math.hypot(a0.std_error, t2.std_error)
 
 
+def test_w_rule_is_nested_gauss_kronrod():
+    nodes, (wk, wg) = _w_rule()
+    assert nodes.shape == (15,) and np.all(np.diff(nodes) > 0)
+    assert 0 < nodes[0] and nodes[-1] < 1
+    for k in range(23):
+        assert abs(wk @ nodes**k - 1 / (k + 1)) < 1e-15
+    for k in range(14):
+        assert abs(wg @ nodes**k - 1 / (k + 1)) < 1e-15
+    assert abs(wg @ nodes**14 - 1 / 15) > 1e-12
+    x7, w7 = leggauss(7)
+    gauss = wg != 0
+    assert np.count_nonzero(gauss) == 7
+    assert np.abs(nodes[gauss] - 0.5 * (x7 + 1.0)).max() < 1e-15
+    assert np.abs(wg[gauss] - 0.5 * w7).max() < 1e-15
+
+
+def test_tree2_chunk_matches_gauss_legendre_reference():
+    # one seeded chunk, integrated over w with 16 Gauss-Legendre nodes,
+    # LAPACK eigenvectors and the p = 2 closed-form scalar map
+    lam, seed = 0.05, 1234
+    est = amplitude_tree2(params_sq(2, lam, 2), McConfig(n_samples=MC_CHUNK, seed=seed))
+    g = _gaussian_chunk(_worker_rng(seed, 1, 0), MC_CHUNK, 2, 3)
+
+    def g_of(m):
+        vals, vecs = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
+        a = (-1.0 + np.sqrt(1.0 + 4.0 * lam * np.clip(vals, 0.0, None))) / (2.0 * lam)
+        w = 1.0 + lam * (a[:, :, None] + a[:, None, :])
+        d = -2.0 * lam / (1.0 + 2.0 * lam * a) * np.sum(1.0 / w, axis=2)
+        return (vecs * d[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+    xw, qw = leggauss(16)
+    y = np.zeros(MC_CHUNK, dtype=complex)
+    for wv, q in zip(0.5 * (xw + 1.0), 0.5 * qw):
+        m1 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 1]
+        m2 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 2]
+        gm1 = g_of(m1) @ m1
+        mdg2 = m2.conj().transpose(0, 2, 1) @ g_of(m2)
+        y += q * np.einsum("xij,xji->x", gm1, mdg2)
+    ref = y.mean() / 8
+    assert abs(est.value - ref) < 1e-3 * est.std_error
+    # K15 sits far closer to GL-16 than to its embedded G7 rule
+    assert abs(est.value - ref) < 0.1 * est.w_node_check < 1e-7
+
+
 def test_amplitude_tree2_deterministic():
     pr = params_sq(2, 0.05, 2)
     cfg = McConfig(n_samples=10000, seed=21, n_workers=2)
@@ -505,15 +583,3 @@ def test_partial_sum_level_one_is_vertex_amplitude():
     ref = free_energy(pr)
     # at one vertex the tree correction is the dominant miss
     assert abs(ps.value - ref) > 3 * ps.std_error
-
-
-def test_partial_sum_improves_on_vertex_term():
-    for lam in (0.02, 0.05):
-        pr = params_sq(2, lam, 2)
-        f_ref = free_energy(pr)
-        cfg = McConfig(n_samples=150000, seed=5, n_workers=2)
-        ps1 = lve_partial_sum(pr, cfg, n_max=1)
-        ps2 = lve_partial_sum(pr, cfg, n_max=2)
-        err1 = abs(f_ref - ps1.value)
-        err2 = abs(f_ref - ps2.value)
-        assert err1 - err2 > ps1.std_error + ps2.std_error

@@ -13,6 +13,7 @@ from lvr_lab.errors import (
     LogBranchAmbiguity,
     LvrLabError,
     SingularMatrix,
+    ToleranceNotMet,
 )
 from lvr_lab.lvr_action import (
     LoopVertexAction,
@@ -25,6 +26,7 @@ from lvr_lab.lvr_action import (
     action_s_many,
     d_action_dlam,
     grad_spectral,
+    grad_spectral_many,
     matrix_a,
     resolvent_derivative_check,
     selective_integration_check,
@@ -296,6 +298,47 @@ def test_action_s_many_matches_per_sample(k, n, extra, p, modulus, arg, seed):
     for i, w in enumerate(want):
         assert s_mat[i] == pytest.approx(w.s_mat, rel=1e-11)
         assert s_vec[i] == pytest.approx(w.s_vec, rel=1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    p=st.integers(2, 4),
+    modulus=st.floats(0.01, 0.9),
+    arg=st.floats(-(np.pi - 0.51), np.pi - 0.51),
+    seed=st.integers(0, 10**6),
+)
+def test_grad_spectral_many_matches_per_row(k, n, extra, p, modulus, arg, seed):
+    pr = ModelParams(p=p, lam=complex(modulus * np.exp(1j * arg)), n_l=n, n_r=n + extra)
+    spectra = np.sort(np.random.default_rng(seed).uniform(0, 3, (k, n)), axis=1)
+    try:
+        want = [grad_spectral(Spectrum(tuple(row)), pr) for row in spectra]
+    except LvrLabError:
+        with pytest.raises(LvrLabError):
+            grad_spectral_many(spectra, pr)
+        return
+    got = grad_spectral_many(spectra, pr)
+    assert got.shape == (k, n)
+    for row, h in zip(got, want):
+        assert row == pytest.approx(h, rel=1e-12)
+
+
+def test_grad_spectral_many_checks_the_a_map(monkeypatch):
+    ev = lvr_action.evaluator(2)
+    exact = ev.a_eval_many
+
+    def off_at_row1_index0(lam, s):
+        a = exact(lam, s)
+        a[2] += 1e-8
+        return a
+
+    monkeypatch.setattr(ev, "a_eval_many", off_at_row1_index0)
+    with pytest.raises(ToleranceNotMet, match="eigenvalue index 1, 0"):
+        grad_spectral_many(np.array([[0.5, 1.0], [1.5, 2.0]]), params(p=2, lam=0.1, n_l=2))
+    with pytest.raises(ValueError):
+        grad_spectral_many(np.ones((3, 2)), params(p=2, lam=0.1, n_l=3))
 
 
 class TestResolventDerivative:
