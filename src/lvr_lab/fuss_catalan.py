@@ -10,8 +10,15 @@ convergence the Taylor coefficients are the Fuss-Catalan numbers
 
     FC_p(n) = binomial(p*n, n) / ((p-1)*n + 1),
 
-and outside the disk the branch is reached by Newton continuation along
-cut-avoiding radial paths.  The scalar map
+and the series serves |z| < R_p / 2.  The negative real axis has its own
+monotone Newton.  Every other point is continued along its ray from a
+per-ray table over the log-radius nodes 0.35 R_p e^(h k), h = 0.05, which
+are built outward from the series by a Hermite predictor and Newton.  The
+table holds the cubic Hermite interpolant in log r on each node interval.
+A point evaluates its interval's cubic and takes three Newton steps at its
+own z, so its value depends on nothing else in the call.  Points the
+table's guards reject are redone by a per-point walk whose steps are
+bounded by the distance to the branch point.  The scalar map
 
     a(lambda, u) = u * T_p(-lambda * u^(p-1))
 
@@ -21,6 +28,7 @@ inverts u = a + lambda * a^p on the same branch (a(0, u) = u).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +47,23 @@ __all__ = [
     "decay_bound_report",
     "moment_cross_check",
 ]
+
+# Continuation tables: cubics in log r on the intervals between the nodes
+# 0.35 R_p e^(h k), k = 0, 1, ..., of the ray arg z = key * _RAY_QUANTUM.
+_RAY_QUANTUM = 2.0**-30
+_NODE_H = 0.05
+_NEWTON_STEPS = 3  # per node and per point
+_NODE_STEP_REL = 0.1
+_POINT_STEP_REL = 1e-8
+_TABLE_CACHE = 8
+
+
+def _hermite(t0, d0, t1, d1) -> np.ndarray:
+    """Coefficients, lowest order first, of the cubic Hermite interpolant on
+    the node interval [k, k+1] in s = (log r - log r_k) / _NODE_H, from T and
+    D = dT/dlog z at both nodes; one column per ray."""
+    hd0, hd1, dt = _NODE_H * d0, _NODE_H * d1, t1 - t0
+    return np.array([t0, hd0, 3 * dt - 2 * hd0 - hd1, hd0 + hd1 - 2 * dt])
 
 
 def fc_number(p: int, n: int) -> int:
@@ -105,7 +130,8 @@ class FcEvaluator:
         self.tol_cut = float(tol_cut)
         rp = cut_start(p)
         self.cut_start = float(rp)
-        self.path_step = 0.05 * self.cut_start
+        self._rho0 = 0.35 * self.cut_start  # series anchor radius of the continuation
+        self._tables: OrderedDict = OrderedDict()  # ray key -> (cubics, ended early)
         self.series_coeffs: list[int] = [fc_number(p, n) for n in range(n_max + 1)]
         # scaled coefficients c_n * R_p^n stay O(n^{-3/2}); exact rationals
         # are converted only after the product so nothing overflows
@@ -162,78 +188,177 @@ class FcEvaluator:
         return t
 
     def _continue_scalar(self, z: complex) -> complex:
-        """Adaptive radial continuation for one stubborn point."""
-        rp = self.cut_start
-        rho0 = 0.35 * rp
+        """Per-point rescue: walk from the series anchor out to z.
+
+        The path is radial, except within 0.5 rad of the cut, where the
+        radial path would graze the branch point: there it runs out along
+        arg z = +-0.5 and takes a chord to z.
+        """
         theta = math.atan2(z.imag, z.real)
-        start = rho0 * complex(math.cos(theta), math.sin(theta))
+        side = math.copysign(max(abs(theta), 0.5), theta)
+        start = self._rho0 * complex(math.cos(side), math.sin(side))
         t = complex(self._series_eval(np.array([start]))[0])
-        return self._walk_segments([start, z], t)
+        return self._walk_segments([start, abs(z) / self._rho0 * start, z], t)
 
     def _walk_segments(self, path: list[complex], t: complex) -> complex:
-        p = self.p
-        cur = path[0]
+        """Euler predictor and Newton corrector along a polyline.
+
+        A step is at most a quarter of |z - R_p|, the distance to the branch
+        point, so far out the walk takes log-radius steps, and every step
+        stays well inside the disk where T is analytic around the current
+        point.  A corrector that lands more than half a predictor step from
+        its predictor has jumped to another root of z T^p - T + 1, and the
+        step is halved.
+        """
+        p, rp = self.p, self.cut_start
+        cur, frac = complex(path[0]), 0.1
         for target in path[1:]:
-            seg = target - cur
-            pos, h = 0.0, 0.25
-            while pos < 1.0:
-                nxt = min(pos + h, 1.0)
-                z_try = cur + seg * nxt
-                t_try = self._newton_scalar(z_try, t, max_iter=25)
+            target = complex(target)
+            while cur != target:
+                reach, gap = frac * abs(cur - rp), abs(target - cur)
+                z_try = target if gap <= reach else cur + (target - cur) * (reach / gap)
+                dt = t**p / (1 - p * cur * t ** (p - 1)) * (z_try - cur)
+                t_try = self._newton_scalar(z_try, t + dt, max_iter=25)
                 res = abs(z_try * t_try**p - t_try + 1)
-                if res < self.tol_residual:
-                    t, pos = t_try, nxt
-                    h = min(h * 1.6, 1.0 - pos if pos < 1.0 else 1.0, 0.5)
-                    if h <= 0:
-                        h = 0.25
+                if res < self.tol_residual and abs(t_try - t - dt) <= 0.5 * abs(dt) + 1e-12 * abs(t):
+                    cur, t = z_try, t_try
+                    frac = min(1.5 * frac, 0.25)
                 else:
-                    h *= 0.5
-                    if h < 1e-9:
+                    frac *= 0.5
+                    if frac < 1e-9:
                         raise ContinuationFailure(
                             f"continuation stalled near z={z_try} (target {target})"
                         )
-            cur = target
         return t
 
-    def _continue_batch(self, zs: np.ndarray) -> np.ndarray:
-        """Vectorized continuation along per-point radial paths.
+    def _dlog(self, z, t):
+        """dT/du at u = log z, that is z T^p / (1 - p z T^(p-1))."""
+        w = z * t ** (self.p - 1)
+        return w * t / (1 - self.p * w)
 
-        All points share a common log-radius schedule from the series
-        anchor 0.35*R_p out to the largest radius; a fixed-schedule
-        predictor/corrector handles the whole array at once and any point
-        that fails residual validation is redone with the adaptive
-        scalar walk.
+    def _newton(self, z, t, steps: int) -> tuple:
+        """`steps` elementwise Newton steps on z T^p - T + 1; returns the
+        root estimate and the last correction."""
+        for _ in range(steps):
+            w = z * t ** (self.p - 1)
+            step = (w * t - t + 1) / (self.p * w - 1)
+            t = t - step
+        return t, step
+
+    def _continue_rays(self, zs: np.ndarray) -> np.ndarray:
+        """T_p at continuation points from per-ray node tables.
+
+        A point's ray is its angle rounded to _RAY_QUANTUM.  The point takes
+        the cubic Hermite interpolant in log r on its node interval, then
+        _NEWTON_STEPS Newton steps at its own z.  It is kept if its residual
+        is within tol_residual and its last correction is at most
+        _POINT_STEP_REL |T|; every other point is redone by the per-point
+        walk.  No value depends on the other points of the call.
         """
-        p = self.p
-        rp = self.cut_start
-        rho0 = 0.35 * rp
-        theta = np.angle(zs)
-        radii = np.abs(zs)
-        lr = np.log(np.maximum(radii, rho0) / rho0)
-        n_steps = max(30, int(np.ceil(np.max(lr) / 0.08)))
-        phases = np.exp(1j * theta)
-        z_prev = rho0 * phases
-        t = self._series_eval(z_prev)
-        for k in range(1, n_steps + 1):
-            z_cur = rho0 * np.exp(lr * (k / n_steps)) * phases
-            dz = z_cur - z_prev
-            denom = 1 - p * z_prev * t ** (p - 1)
-            small = np.abs(denom) < 1e-8
-            tp = np.where(small, 0, t**p / np.where(small, 1, denom))
-            t = t + tp * dz
-            for _ in range(12):
-                f = z_cur * t**p - t + 1
-                if np.max(np.abs(f)) < 1e-13:
-                    break
-                fp = p * z_cur * t ** (p - 1) - 1
-                fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
-                t = t - f / fp
-            z_prev = z_cur
-        res = np.abs(zs * t**p - t + 1)
-        bad = np.nonzero(res > self.tol_residual)[0]
-        for i in bad:
+        x = np.log(np.abs(zs) / self._rho0) / _NODE_H
+        k = np.maximum(np.floor(x), 0).astype(np.intp)  # node interval [k, k+1]
+        s = x - k
+        keys, ray = np.unique(
+            np.rint(np.angle(zs) / _RAY_QUANTUM).astype(np.int64), return_inverse=True
+        )
+        need = np.zeros(keys.size, dtype=np.intp)  # intervals each ray needs
+        np.maximum.at(need, ray, k + 1)
+        coef = np.zeros((4, zs.size), dtype=complex)  # each point's cubic in s
+        valid = np.zeros(zs.size, dtype=bool)
+        walk = []
+        for i, key in enumerate(keys.tolist()):
+            table = self._tables.get(key)
+            if table is None or (table[0].shape[1] < need[i] and not table[1]):
+                walk.append(i)
+                continue
+            self._tables.move_to_end(key)
+            pts = slice(None) if keys.size == 1 else np.nonzero(ray == i)[0]
+            kp, m = k[pts], table[0].shape[1]
+            coef[:, pts] = table[0][:, np.minimum(kp, m - 1)]
+            valid[pts] = kp < m
+        if walk:
+            walk = np.array(walk)
+            pts = np.nonzero(np.isin(ray, walk))[0]
+            pt_ray = np.searchsorted(walk, ray[pts])
+            self._walk_rays(keys[walk], need[walk], pts, pt_ray, k[pts], coef, valid)
+        t = ((coef[3] * s + coef[2]) * s + coef[1]) * s + coef[0]
+        t, step = self._newton(zs, t, _NEWTON_STEPS)
+        ok = valid & (np.abs(zs * t**self.p - t + 1) <= self.tol_residual)
+        ok &= np.abs(step) <= _POINT_STEP_REL * np.abs(t)
+        for i in np.nonzero(~ok)[0]:
             t[i] = self._continue_scalar(complex(zs[i]))
         return t
+
+    def _walk_rays(self, keys, need, pts, pt_ray, pt_k, coef, valid) -> None:
+        """Walk the rays `keys` out to node need[r], all rays at once.
+
+        Node k+1 starts from the Hermite cubic of interval [k-1, k],
+        extrapolated to s = 2, and takes _NEWTON_STEPS Newton steps.  It is
+        accepted if its residual is within tol_residual and its total
+        correction is at most _NODE_STEP_REL of the node spacing h |D_k|;
+        otherwise its ray ends at node k.  Point pts[j] lies on ray
+        pt_ray[j] in interval pt_k[j] and takes that interval's cubic into
+        `coef` as the walk passes it, so memory stays O(points + rays).  A
+        call that walks at most _TABLE_CACHE rays caches them whole.
+        """
+        p, tol = self.p, self.tol_residual
+        order = np.argsort(need, kind="stable")  # so rays finish in order
+        keys, need = keys[order], need[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        by_k = np.argsort(pt_k, kind="stable")
+        pts, pt_ray = pts[by_k], rank[pt_ray[by_k]]
+        first = np.searchsorted(pt_k[by_k], np.arange(need[-1] + 1))
+        phase = np.exp(1j * (keys * _RAY_QUANTUM))
+        z_back, z_cur = self._rho0 * math.exp(-_NODE_H) * phase, self._rho0 * phase
+        t_back, t_cur = self._series_eval(z_back), self._series_eval(z_cur)
+        d_cur = self._dlog(z_cur, t_cur)
+        c_prev = _hermite(t_back, self._dlog(z_back, t_back), t_cur, d_cur)
+        ids = np.arange(keys.size)  # the rays still walking
+        pos = np.arange(keys.size)  # index of each ray in the walking arrays, or -1
+        keep = keys.size <= _TABLE_CACHE
+        if keep:
+            hist = np.zeros((4, keys.size, need[-1]), dtype=complex)
+            ends = need.copy()  # intervals each ray keeps
+        for kn in range(need[-1]):
+            if not ids.size:
+                break
+            moved = need[ids[0]] <= kn  # need[ids] ascends: drop the rays done
+            if moved:
+                done = int(np.searchsorted(need[ids], kn, side="right"))
+                ids, phase = ids[done:], phase[done:]
+                c_prev, t_cur, d_cur = c_prev[:, done:], t_cur[done:], d_cur[done:]
+            z = self._rho0 * math.exp(_NODE_H * (kn + 1)) * phase
+            pred = c_prev[0] + 2 * c_prev[1] + 4 * c_prev[2] + 8 * c_prev[3]
+            t_new, _ = self._newton(z, pred, _NEWTON_STEPS)
+            d_new = self._dlog(z, t_new)
+            c = _hermite(t_cur, d_cur, t_new, d_new)
+            ok = np.abs(z * t_new**p - t_new + 1) <= tol
+            ok &= np.abs(t_new - pred) <= _NODE_STEP_REL * np.abs(c[1])
+            if not ok.all():
+                if keep:
+                    ends[ids[~ok]] = kn
+                ids, phase, c, t_new, d_new = ids[ok], phase[ok], c[:, ok], t_new[ok], d_new[ok]
+                moved = True
+            if moved:
+                pos[:] = -1
+                pos[ids] = np.arange(ids.size)
+            if first[kn] < first[kn + 1]:
+                here = slice(first[kn], first[kn + 1])
+                at = pos[pt_ray[here]]
+                live = at >= 0
+                got = pts[here][live]
+                coef[:, got] = c[:, at[live]]
+                valid[got] = True
+            if keep:
+                hist[:, ids, kn] = c
+            c_prev, t_cur, d_cur = c, t_new, d_new
+        if keep:
+            for r, key in enumerate(keys.tolist()):
+                self._tables[key] = (hist[:, r, : ends[r]].copy(), ends[r] < need[r])
+                self._tables.move_to_end(key)
+            while len(self._tables) > _TABLE_CACHE:
+                self._tables.popitem(last=False)
 
     # ------------------------------------------------------- public API
 
@@ -260,7 +385,7 @@ class FcEvaluator:
             out[neg] = self._newton_negative_axis(zs[neg].real)
         rest = ~(at_bp | series | neg)
         if np.any(rest):
-            out[rest] = self._continue_batch(zs[rest])
+            out[rest] = self._continue_rays(zs[rest])
         res = np.abs(zs * out**self.p - out + 1)
         res[at_bp] = 0.0  # limit point is exempt from the residual contract
         if np.max(res) > self.tol_residual:
@@ -279,12 +404,13 @@ class FcEvaluator:
         is such a point and is already close for large |z|.
         """
         t = np.where(zr < -1.0, (-np.minimum(zr, -1.0)) ** (-1.0 / self.p), 1.0)
+        live = np.ones(t.shape, dtype=bool)  # each point stops on its own step
         for _ in range(90):
-            f = zr * t**self.p - t + 1.0
-            fp = self.p * zr * t ** (self.p - 1) - 1.0
-            step = f / fp
+            step = (zr * t**self.p - t + 1.0) / (self.p * zr * t ** (self.p - 1) - 1.0)
+            step[~live] = 0.0
             t = t - step
-            if np.max(np.abs(step)) < 1e-15:
+            live &= np.abs(step) >= 1e-15
+            if not live.any():
                 break
         return t.astype(complex)
 

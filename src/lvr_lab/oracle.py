@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -103,10 +104,34 @@ def _pair_log_table(params: ModelParams, nodes: np.ndarray, n_t: int = 48) -> np
     return _log_homotopy(w)
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+
+    Newton on the three-term recurrence from the asymptotic guesses
+    cos(pi (i + 3/4) / (n + 1/2)).  It needs no eigensolve, so it never makes
+    the first large multithreaded LAPACK call of a process, which can stall.
+    """
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p_n = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p_n = p_n, ((2 * k - 1) * x * p_n - (k - 1) * p_prev) / k
+        dp = n * (x * p_n - p_prev) / (x * x - 1)
+        dx = p_n / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    w = 2.0 / ((1 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _log_measure(n: int, n_nodes: int, s_max: float) -> tuple:
     """Gauss-Legendre nodes s on [0, s_max], the index grid of their n-fold
     tensor product, and the log Wishart measure Delta(s)^2 e^{-N sum s} on it."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     s = 0.5 * s_max * (x + 1.0)
     # log-domain 1-d weights: quadrature weight times e^{-N s}
     log_base = np.log(0.5 * s_max * w) - n * s

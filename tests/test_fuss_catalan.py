@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvr_lab import fuss_catalan
 from lvr_lab.errors import BranchPoint, CutProximity
 from lvr_lab.fuss_catalan import (
     FcEvaluator,
@@ -130,7 +131,7 @@ class TestTpEval:
             radii = ev.cut_start * rng.uniform(0.36, 0.44, 100)
             angles = rng.uniform(-np.pi, np.pi, 100)
             zs = radii * np.exp(1j * angles)
-            assert np.max(np.abs(ev._series_eval(zs) - ev._continue_batch(zs))) < 1e-12
+            assert np.max(np.abs(ev._series_eval(zs) - ev._continue_rays(zs))) < 1e-12
 
     def test_negative_axis_positive_and_monotone(self):
         for p in (2, 3, 4):
@@ -156,7 +157,7 @@ class TestTpEval:
         zs = np.array([0.01 + 0.02j, float(cut_start(3)), -2.0 + 0.5j, 40j])
         many = ev.tp_eval_many(zs)
         for z, t in zip(zs, many):
-            assert ev.tp_eval(complex(z)) == pytest.approx(complex(t), rel=1e-12)
+            assert ev.tp_eval(complex(z)) == t
 
     def test_conjugation_symmetry(self):
         ev = FcEvaluator(4)
@@ -164,6 +165,93 @@ class TestTpEval:
         t_up = ev.tp_eval_many(zs)
         t_dn = ev.tp_eval_many(np.conj(zs))
         assert np.max(np.abs(t_dn - np.conj(t_up))) < 1e-12
+
+
+MC_LAM = 0.05 * np.exp(0.25j * np.pi)  # the oracle.identity_monte_carlo coupling
+
+
+def mc_ray_points(ev, n, seed):
+    """Continuation points z = -t lam s^(p-1) of the Monte Carlo, which all
+    lie on the ray arg z = arg(-lam)."""
+    rng = np.random.default_rng(seed)
+    m = 10 * n + 50
+    zs = -(rng.uniform(0, 1, m) * MC_LAM) * rng.uniform(0, 12, m) ** (ev.p - 1)
+    zs = zs[np.abs(zs) >= 0.5 * ev.cut_start][:n]
+    assert zs.size == n
+    return zs
+
+
+def shared_schedule_walk(ev, zs):
+    """The batch-wide radial walk the ray table replaced: one log-radius
+    schedule for the whole batch, set by its largest radius, with Newton
+    sweeps stopped on the batch's largest residual."""
+    p, rho0 = ev.p, 0.35 * ev.cut_start
+    lr = np.log(np.maximum(np.abs(zs), rho0) / rho0)
+    n_steps = max(30, int(np.ceil(np.max(lr) / 0.08)))
+    phases = np.exp(1j * np.angle(zs))
+    z_prev = rho0 * phases
+    t = ev._series_eval(z_prev)
+    for k in range(1, n_steps + 1):
+        z_cur = rho0 * np.exp(lr * (k / n_steps)) * phases
+        t = t + t**p / (1 - p * z_prev * t ** (p - 1)) * (z_cur - z_prev)
+        for _ in range(12):
+            f = z_cur * t**p - t + 1
+            if np.max(np.abs(f)) < 1e-13:
+                break
+            t = t - f / (p * z_cur * t ** (p - 1) - 1)
+        z_prev = z_cur
+    assert np.max(np.abs(zs * t**p - t + 1)) <= ev.tol_residual
+    return t
+
+
+class TestRayTable:
+    def test_matches_shared_schedule_walk_on_mc_rays(self):
+        for p in (2, 3):
+            ev = FcEvaluator(p)
+            zs = mc_ray_points(ev, 2000, seed=p)
+            got = ev.tp_eval_many(zs)
+            want = shared_schedule_walk(ev, zs)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_p2_closed_form_up_to_the_cut(self):
+        ev = FcEvaluator(2)
+        rng = np.random.default_rng(17)
+        radii = 10.0 ** rng.uniform(np.log10(0.125), 3, 1200)
+        angles = np.concatenate([
+            rng.uniform(0.02, 2 * np.pi - 0.02, 800),
+            np.repeat([0.05, -0.05, 0.02, -0.02], 100),
+        ])
+        zs = radii * np.exp(1j * angles)
+        got = ev.tp_eval_many(zs)
+        want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_table_is_reused_across_calls(self):
+        ev = FcEvaluator(3)
+        zs = mc_ray_points(ev, 500, seed=8)
+        first = ev.tp_eval_many(zs)
+        tables = dict(ev._tables)
+        assert np.array_equal(ev.tp_eval_many(zs[::-1]), first[::-1])
+        # the second call reads the cached table and walks no node
+        assert ev._tables.keys() == tables.keys()
+        assert all(ev._tables[k] is v for k, v in tables.items())
+
+    def test_forced_fallback_is_rescued(self, monkeypatch):
+        ev = FcEvaluator(2)
+        zs = np.concatenate([mc_ray_points(ev, 40, seed=3), [3.0 + 0.1j, -7.0 - 2.0j]])
+        rescued = []
+        scalar = FcEvaluator._continue_scalar
+
+        def spy(self, z):
+            rescued.append(z)
+            return scalar(self, z)
+
+        monkeypatch.setattr(FcEvaluator, "_continue_scalar", spy)
+        monkeypatch.setattr(fuss_catalan, "_NODE_STEP_REL", -1.0)  # no node passes
+        got = ev.tp_eval_many(zs)
+        assert rescued == [complex(z) for z in zs]
+        want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
 class TestPathIndependence:
@@ -186,6 +274,29 @@ class TestPathIndependence:
         ev = FcEvaluator(2)
         with pytest.raises(ValueError):
             ev.tp_eval_along(-1.0, [0.2])
+
+    def test_radial_walk_stays_on_branch(self):
+        # a step of a quarter of the segment used to land on another root
+        ev = FcEvaluator(3)
+        z = 6.038346879498281 - 1.1686860925485123j
+        anchor = 0.35 * ev.cut_start * np.exp(1j * np.angle(z))
+        want = ev.tp_eval(z)
+        assert abs(want - (0.34002658938501 - 0.36174584072536j)) < 1e-12
+        assert abs(ev.tp_eval_along(z, [anchor]) - want) < 1e-14
+        assert abs(ev.tp_eval_along(z, [0, -1, -1 - 3j, 6 - 3j]) - want) < 1e-14
+
+    def test_rescue_walk_matches_table_and_closed_form(self):
+        for p in (2, 3, 4, 5):
+            ev = FcEvaluator(p)
+            rng = np.random.default_rng(100 + p)
+            radii = 10.0 ** rng.uniform(np.log10(0.5 * ev.cut_start), 1.5, 400)
+            zs = radii * np.exp(1j * rng.uniform(0.02, 2 * np.pi - 0.02, 400))
+            walk = np.array([ev._continue_scalar(complex(z)) for z in zs])
+            if p == 2:
+                want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
+            else:
+                want = ev.tp_eval_many(zs)
+            assert np.max(np.abs(walk - want) / np.abs(want)) < 1e-13
 
 
 class TestDerivative:
@@ -269,6 +380,23 @@ def test_residual_contract_property(p, radius, angle):
     z = radius * complex(math.cos(angle), math.sin(angle))
     t = ev.tp_eval(z)
     assert abs(z * t**p - t + 1) <= ev.tol_residual
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3]), seed=st.integers(0, 10**6), size=st.integers(1, 60))
+def test_value_does_not_depend_on_batch(p, seed, size):
+    # each point in a call of its own on a second evaluator, the batch on a warm one
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    rng = np.random.default_rng(seed)
+    radii = 10.0 ** rng.uniform(-2, 3, size)
+    plane = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+    # Monte Carlo ray, cut plane and negative axis, mixed at random
+    zs = np.choose(rng.integers(0, 3, size), [mc_ray_points(ev, size, seed), plane, -radii + 0j])
+    cold = FcEvaluator(p)
+    alone = np.array([cold.tp_eval_many(zs[i : i + 1])[0] for i in range(size)])
+    assert np.array_equal(ev.tp_eval_many(zs), alone)
+    perm = rng.permutation(size)
+    assert np.array_equal(ev.tp_eval_many(zs[perm]), alone[perm])
 
 
 def test_decay_bound_report():
