@@ -511,28 +511,6 @@ def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int, h: fl
 # gradients of the action in the matrix entries
 
 
-def _eigh(x: np.ndarray):
-    """Ascending eigenvalues and eigenvectors of a (batch, N, N) Hermitian
-    stack: closed form at N = 2, LAPACK otherwise.  At N = 2 the top
-    eigenvector comes from the row of X - s_+ I whose diagonal entry does
-    not cancel, scaled to a largest component of 1 before normalizing; the
-    other is its orthogonal complement, and X = a I gets the identity."""
-    if x.shape[-1] != 2:
-        return np.linalg.eigh(x)
-    a, d, b = x[:, 0, 0].real, x[:, 1, 1].real, x[:, 0, 1]
-    half = 0.5 * (a - d)
-    r = np.hypot(half, np.abs(b))
-    vals = np.stack([0.5 * (a + d) - r, 0.5 * (a + d) + r], axis=1)
-    upper = half > 0
-    off = np.where(upper, b.conj(), b)
-    den = np.where(r > 0, r + np.abs(half), 1.0)  # >= |off|
-    ratio = off.real / den + 1j * (off.imag / den)
-    c = 1.0 / np.sqrt(1.0 + ratio.real**2 + ratio.imag**2)
-    top0, top1 = np.where(upper, c, ratio * c), np.where(upper, ratio * c, c)
-    vecs = np.stack([top1.conj(), top0, -top0.conj(), top1], axis=1).reshape(-1, 2, 2)
-    return vals, vecs
-
-
 def _s_of_matrices(params: ModelParams, ms: np.ndarray) -> np.ndarray:
     x = ms @ ms.conj().transpose(0, 2, 1)
     vals = np.clip(np.linalg.eigvalsh(x), 0.0, None)
@@ -561,22 +539,41 @@ def _grad_fd(params: ModelParams, m: np.ndarray, h: float = 1e-6):
 
 def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     """One gradient side per sample: G M (side "gm") or M^dag G (side
-    "mdg"), where G is dS/dX in the eigenbasis.
+    "mdg"), where G = dS/dX has the eigenvectors of X = M M^dag and the
+    eigenvalues h = grad_spectral_many(spectrum of X).
 
-    dS/dM^dag_{ab} = (G M)_{ba} and dS/dM_{ab} = (M^dag G)_{ba}.  Samples
-    with nearly coincident eigenvalues fall back to entrywise finite
-    differences: the eigenbasis returned inside a near-degenerate
-    cluster is noise-sensitive even though the assembled gradient is
-    continuous there.
+    dS/dM^dag_{ab} = (G M)_{ba} and dS/dM_{ab} = (M^dag G)_{ba}.  At N = 2,
+    with eigenvalues t -+ r, G = c I + beta (X - t I) for c = (h1 + h2)/2
+    and beta = (h2 - h1)/(2 r), written out entry by entry with no
+    eigenvectors; other N take the LAPACK eigenbasis.  Samples with nearly
+    coincident eigenvalues fall back to entrywise finite differences, where
+    the eigenbasis is noise-sensitive and beta divides by a vanishing gap.
     """
-    vals, vecs = _eigh(np.einsum("xij,xkj->xik", m, m.conj()))
-    vals = np.clip(vals, 0.0, None)
-    d = grad_spectral_many(vals, params)
-    g = np.einsum("xij,xj,xkj->xik", vecs, d, vecs.conj())
-    if side == "gm":
-        out = np.einsum("xij,xjk->xik", g, m)
+    if m.shape[-1] == 2:
+        m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+        x00 = (m00 * m00.conj() + m01 * m01.conj()).real
+        x11 = (m10 * m10.conj() + m11 * m11.conj()).real
+        b = m00 * m10.conj() + m01 * m11.conj()
+        t, half = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
+        r = np.hypot(half, np.abs(b))
+        vals = np.clip(np.stack([t - r, t + r], axis=1), 0.0, None)
+        h = grad_spectral_many(vals, params)
+        c = 0.5 * (h[:, 0] + h[:, 1])
+        beta = (h[:, 1] - h[:, 0]) / np.where(r > 0, 2.0 * r, 1.0)
+        g = (c + beta * half, beta * b, beta * b.conj(), c - beta * half)
+        if side == "gm":
+            (l0, l1, l2, l3), (r0, r1, r2, r3) = g, (m00, m01, m10, m11)
+        else:
+            (l0, l1, l2, l3), (r0, r1, r2, r3) = (m00.conj(), m10.conj(), m01.conj(), m11.conj()), g
+        out = np.empty_like(m)
+        out[:, 0, 0], out[:, 0, 1] = l0 * r0 + l1 * r2, l0 * r1 + l1 * r3
+        out[:, 1, 0], out[:, 1, 1] = l2 * r0 + l3 * r2, l2 * r1 + l3 * r3
     else:
-        out = np.einsum("xji,xjk->xik", m.conj(), g)
+        vals, vecs = np.linalg.eigh(np.einsum("xij,xkj->xik", m, m.conj()))
+        vals = np.clip(vals, 0.0, None)
+        g = np.einsum("xij,xj,xkj->xik", vecs, grad_spectral_many(vals, params), vecs.conj())
+        lhs, rhs = (g, m) if side == "gm" else (m.conj().transpose(0, 2, 1), g)
+        out = np.einsum("xij,xjk->xik", lhs, rhs)
     if vals.shape[1] > 1:
         scale = 1.0 + vals[:, -1]
         bad = np.min(np.diff(vals, axis=1), axis=1) < 1e-9 * scale

@@ -151,31 +151,32 @@ def matrix_a(spec, params: ModelParams) -> np.ndarray:
     from the underlying T_p evaluation are re-raised with the offending
     eigenvalue index attached.
     """
-    spec = _as_spectrum(spec)
+    return _a_checked(_as_spectrum(spec).array.astype(complex), params)
+
+
+def _a_checked(s: np.ndarray, params: ModelParams) -> np.ndarray:
+    """a(lam, s) over an array of eigenvalues, with the index of the first
+    eigenvalue whose T_p fails attached to the error, and every a checked
+    against s = a + lam * a^p to 1e-10."""
     ev = evaluator(params.p)
-    s = spec.array.astype(complex)
     try:
-        a = ev.a_eval_many(params.lam, s)
+        a = ev.a_eval_many(params.lam, s.ravel()).reshape(s.shape)
     except LvrLabError as exc:
-        for i, si in enumerate(s):
+        for idx in np.ndindex(s.shape):
             try:
-                ev.a_eval(params.lam, complex(si))
+                ev.a_eval(params.lam, complex(s[idx]))
             except LvrLabError as inner:
+                where = ", ".join(str(i) for i in idx)
                 raise type(inner)(
-                    f"eigenvalue index {i} (s={si.real:g}): {inner}"
+                    f"eigenvalue index {where} (s={s[idx].real:g}): {inner}"
                 ) from inner
         raise exc
-    _check_a_residual(a, s, params)
-    return a
-
-
-def _check_a_residual(a: np.ndarray, s: np.ndarray, params: ModelParams) -> None:
-    """Raise unless every a satisfies s = a + lam * a^p to 1e-10."""
     res = np.abs(a + params.lam * a**params.p - s)
     if np.max(res) > 1e-10:
         idx = np.unravel_index(np.argmax(res), res.shape)
         where = ", ".join(str(int(i)) for i in idx)
         raise ToleranceNotMet(f"a-map residual {res[idx]:.3e} at eigenvalue index {where}")
+    return a
 
 
 def _log_homotopy_batch(w_path: np.ndarray, min_modulus: float = 1e-12) -> tuple:
@@ -209,7 +210,7 @@ def _log_homotopy(w_path: np.ndarray, min_modulus: float = 1e-12) -> np.ndarray:
 
 def _pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     """sum_{k=0}^{p-1} a_i^k * a_j^(p-1-k), broadcast over leading axes."""
-    out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=complex)
+    out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=np.result_type(a_i, a_j))
     for k in range(p):
         out += a_i**k * a_j ** (p - 1 - k)
     return out
@@ -257,7 +258,7 @@ def action_s(spec, params: ModelParams, n_t: int = 96) -> LoopVertexAction:
 
 def _weighted_pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     """sum_{k=1}^{p-1} k * a_i^(k-1) * a_j^(p-1-k)."""
-    out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=complex)
+    out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=np.result_type(a_i, a_j))
     for k in range(1, p):
         out += k * a_i ** (k - 1) * a_j ** (p - 1 - k)
     return out
@@ -288,18 +289,20 @@ def d_action_dlam(spec, params: ModelParams) -> complex:
 
 
 def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
-    """h[r, m] = d(total)/d(s_m) for each row r of (k, n_l) spectra.
+    """h[r, m] = d(total)/d(s_m) for each row r of (k, n_l) spectra, complex.
 
     Uses the symmetry of the pair sum to fold the i- and j-derivatives
     into one weighted sum, then the chain rule da/ds = 1/(1 + p lam a^(p-1)).
+    For real lam >= 0 every z = -lam s^(p-1) lies in (-inf, 0], a is real,
+    and everything after the checked a-map runs in real arithmetic.
     """
     s_batch = np.asarray(s_batch, dtype=float)
     if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
         raise ValueError(f"expected (k, n_l={params.n_l}) spectra, got {s_batch.shape}")
     p, lam = params.p, params.lam
-    s = s_batch.astype(complex)
-    a = evaluator(p).a_eval_many(lam, s.ravel()).reshape(s.shape)
-    _check_a_residual(a, s, params)
+    a = _a_checked(s_batch.astype(complex), params)
+    if np.imag(lam) == 0 and np.real(lam) >= 0:
+        a, lam = a.real, float(np.real(lam))
     a_du = 1.0 / (1.0 + p * lam * a ** (p - 1))
     ai, aj = a[:, :, None], a[:, None, :]
     w = 1 + lam * _pair_sum(ai, aj, p)
@@ -307,7 +310,7 @@ def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
     if params.n_r > params.n_l:
         wv = 1 + lam * a ** (p - 1)
         h -= (params.n_r - params.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv
-    return h
+    return h.astype(complex, copy=False)
 
 
 def grad_spectral(spec, params: ModelParams) -> np.ndarray:

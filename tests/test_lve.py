@@ -14,6 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import i1e
 
+from lvr_lab import lve
 from lvr_lab.errors import DegenerateSpectrum, SizeBound
 from lvr_lab.lve import (
     AmplitudeEstimate,
@@ -33,13 +34,13 @@ from lvr_lab.lve import (
     grad_s_entries,
     lve_partial_sum,
     trees_to_csv,
-    _eigh,
     _gaussian_chunk,
+    _grads_batch,
     _w_rule,
     _worker_rng,
 )
 from lvr_lab.oracle import MC_CHUNK, McConfig, free_energy
-from lvr_lab.lvr_action import ModelParams
+from lvr_lab.lvr_action import ModelParams, grad_spectral_many
 
 
 def params_sq(p, lam, n):
@@ -339,32 +340,74 @@ def test_grad_degenerate_raises_and_fd_value():
     assert np.abs(dm - dd.conj().T).max() < 1e-8
 
 
-entry = st.floats(-1e3, 1e3)
+def eigenbasis_grads(params, m, side):
+    """Reference route: LAPACK eigh of X = M M^dag, G = V diag(h) V^dag,
+    then G M or M^dag G.  Also returns the clipped eigenvalues."""
+    vals, vecs = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
+    vals = np.clip(vals, 0.0, None)
+    g = np.einsum("xij,xj,xkj->xik", vecs, grad_spectral_many(vals, params), vecs.conj())
+    return (g @ m if side == "gm" else m.conj().transpose(0, 2, 1) @ g), vals
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=entry, d=entry, b_re=entry, b_im=entry,
-       u=st.tuples(entry, entry, entry, entry), eps=st.floats(0.0, 1e-8))
-def test_closed_form_eigh_matches_lapack(a, d, b_re, b_im, u, eps):
-    b = complex(b_re, b_im)
-    v = np.array([complex(u[0], u[1]), complex(u[2], u[3])])
-    rank1 = np.outer(v, v.conj())
-    x = np.array([
-        [[a, b], [b.conjugate(), d]],
-        np.diag([min(a, d), max(a, d)]),
-        np.diag([max(a, d), min(a, d)]),
-        np.diag([a, a]),
+entry = st.floats(-10, 10)
+cplx = st.builds(complex, entry, entry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=cplx, b=cplx, c=cplx, d=cplx, u=st.tuples(cplx, cplx), v=st.tuples(cplx, cplx),
+       eps=st.floats(0.0, 1e-8), p=st.sampled_from([2, 3]), modulus=st.floats(0.01, 0.5),
+       arg=st.sampled_from([0.0, 0.3, -1.2, 2.5]))
+def test_n2_gradient_matches_eigenbasis_route(a, b, c, d, u, v, eps, p, modulus, arg):
+    pr = params_sq(p, modulus * np.exp(1j * arg) if arg else modulus, 2)
+    lo, hi = sorted([abs(a), abs(d)])
+    rank1 = np.outer(u, v)
+    m = np.array([
+        [[a, b], [c, d]],
+        np.diag([lo, hi]),
+        np.diag([hi, lo]),
         rank1,
         rank1 + eps * np.eye(2),  # near-singular
     ], dtype=complex)
-    vals, vecs = _eigh(x)
-    tol = 1e-13 * (1.0 + np.abs(x).max(axis=(1, 2)))
-    assert np.all(np.abs(vals - np.linalg.eigvalsh(x)).max(axis=1) <= tol)
-    rebuilt = np.einsum("xij,xj,xkj->xik", vecs, vals, vecs.conj())
-    assert np.all(np.abs(rebuilt - x).max(axis=(1, 2)) <= tol)
-    gram = np.einsum("xji,xjk->xik", vecs.conj(), vecs)
-    assert np.abs(gram - np.eye(2)).max() <= 1e-13
-    assert np.array_equal(vecs[3], np.eye(2))
+    for side in ("gm", "mdg"):
+        want, vals = eigenbasis_grads(pr, m, side)
+        got = _grads_batch(pr, m, side)
+        # samples at or near the finite-difference gap take that route instead
+        spectral = vals[:, 1] - vals[:, 0] >= 2e-9 * (1.0 + vals[:, 1])
+        # both routes sum terms of size |h| |M|; on a rank-1 M with
+        # |h_1| >> |h_2| they cancel to |h_2| |M|, and the LAPACK route
+        # itself is then off by more than 1e-12 of max|out|
+        h = grad_spectral_many(vals, pr)
+        tol = 1e-12 * np.abs(h).max(axis=1) * np.abs(m).max(axis=(1, 2))
+        assert np.all((np.abs(got - want).max(axis=(1, 2)) <= tol)[spectral])
+
+
+def test_n2_gradient_degenerate_samples_take_finite_differences(monkeypatch):
+    pr = params_sq(2, 0.1, 2)
+    phase = np.exp(0.7j)
+    m = np.array([
+        random_m(2, 5),
+        0.8 * np.eye(2),  # X = 0.64 I
+        np.diag([0.6, 0.6 * phase]),  # X = 0.36 I
+        np.diag([1.0, 1.0 + 1e-11]),  # gap 2e-11 < 1e-9 (1 + s_max)
+        np.diag([0.0, 1e-5]),  # gap 1e-10 < 1e-9
+        np.diag([1.0, 1.0 + 1e-8]),  # gap 2e-8, spectral
+        np.diag([0.3, 0.9]),
+    ], dtype=complex)
+    calls = []
+    exact = lve._grad_fd
+
+    def spy(params, mi):
+        calls.append(next(i for i, row in enumerate(m) if np.array_equal(row, mi)))
+        return exact(params, mi)
+
+    monkeypatch.setattr(lve, "_grad_fd", spy)
+    for side in ("gm", "mdg"):
+        calls.clear()
+        got = _grads_batch(pr, m, side)
+        assert calls == [1, 2, 3, 4]
+        want, _ = eigenbasis_grads(pr, m, side)
+        for i in (0, 5, 6):
+            assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
 
 
 def test_grad_rejects_wrong_shape():

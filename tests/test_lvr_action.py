@@ -339,6 +339,75 @@ def test_grad_spectral_many_checks_the_a_map(monkeypatch):
         grad_spectral_many(np.ones((3, 2)), params(p=2, lam=0.1, n_l=3))
 
 
+def complex_grad_formula(spectra, pr):
+    """The spectral gradient in complex arithmetic throughout."""
+    p, lam = pr.p, pr.lam
+    s = spectra.astype(complex)
+    a = lvr_action.evaluator(p).a_eval_many(lam, s.ravel()).reshape(s.shape)
+    a_du = 1.0 / (1.0 + p * lam * a ** (p - 1))
+    ai, aj = a[:, :, None], a[:, None, :]
+    pair = np.zeros(s.shape + s.shape[-1:], dtype=complex)
+    weighted = np.zeros(s.shape + s.shape[-1:], dtype=complex)
+    for k in range(p):
+        pair += ai**k * aj ** (p - 1 - k)
+    for k in range(1, p):
+        weighted += k * ai ** (k - 1) * aj ** (p - 1 - k)
+    h = -2.0 * lam * a_du * np.sum(weighted / (1 + lam * pair), axis=2)
+    if pr.n_r > pr.n_l:
+        wv = 1 + lam * a ** (p - 1)
+        h -= (pr.n_r - pr.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv
+    return h
+
+
+def draw_spectra(seed, k, n, zero_mode, high=3.0):
+    spectra = np.sort(np.random.default_rng(seed).uniform(0, high, (k, n)), axis=1)
+    if zero_mode:
+        spectra[:, 0] = 0.0
+    return spectra
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    p=st.integers(2, 5),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_min=True, exclude_max=True)),
+    zero_mode=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_grad_spectral_many_real_path_matches_complex_formula(k, n, extra, p, lam, zero_mode, seed):
+    pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n + extra)
+    spectra = draw_spectra(seed, k, n, zero_mode)
+    got = grad_spectral_many(spectra, pr)
+    want = complex_grad_formula(spectra, pr)
+    assert got.dtype == complex
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    p=st.integers(2, 5),
+    lam=st.sampled_from([0.3j, 0.05 * np.exp(2j), 0.8 * np.exp(-0.4j), -0.02, -1e-3]),
+    zero_mode=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_grad_spectral_many_complex_path_is_the_complex_formula(k, n, extra, p, lam, zero_mode, seed):
+    # complex lam and real lam < 0 keep complex arithmetic, to the bit
+    pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n + extra)
+    spectra = draw_spectra(seed, k, n, zero_mode, high=1.0)
+    assert np.array_equal(grad_spectral_many(spectra, pr), complex_grad_formula(spectra, pr))
+
+
+def test_grad_spectral_cut_error_carries_index():
+    # z = -lam * s = 0.5 sits on the cut [1/4, inf) for p = 2
+    with pytest.raises(CutProximity, match="eigenvalue index 0, 0"):
+        grad_spectral(Spectrum((1.0, 2.0)), params(p=2, lam=-0.5, n_l=2))
+
+
 class TestResolventDerivative:
     def test_zero_coupling_exact(self):
         assert resolvent_derivative_check(Spectrum((0.5, 1.5)), params(p=3, lam=0.0, n_l=2)) == 0.0
