@@ -19,9 +19,9 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, QuadratureFailure, SizeBound
+from .errors import DegenerateSpectrum, SizeBound
 from .lvr_action import ModelParams, grad_spectral_many
-from .oracle import MC_CHUNK, McConfig, _principal_log_action
+from .oracle import McConfig, _mc_mean, _s_of_matrices
 
 __all__ = [
     "Forest",
@@ -511,12 +511,6 @@ def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int, h: fl
 # gradients of the action in the matrix entries
 
 
-def _s_of_matrices(params: ModelParams, ms: np.ndarray) -> np.ndarray:
-    x = ms @ ms.conj().transpose(0, 2, 1)
-    vals = np.clip(np.linalg.eigvalsh(x), 0.0, None)
-    return _principal_log_action(params, vals)
-
-
 def _grad_fd(params: ModelParams, m: np.ndarray, h: float = 1e-6):
     """Entrywise Wirtinger derivatives of S by central differences; the
     perturbed matrix keeps X = M M^dag Hermitian, so no eigenbasis is
@@ -632,15 +626,6 @@ def _amplitude_gate(params: ModelParams) -> None:
         raise ValueError("lam outside the pacman domain")
 
 
-def _worker_rng(seed: int, tag: int, worker: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox([seed, tag]).jumped(worker))
-
-
-def _gaussian_chunk(rng: np.random.Generator, take: int, n: int, copies: int) -> np.ndarray:
-    raw = rng.standard_normal((take, copies, n, n, 2))
-    return (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)
-
-
 def amplitude_trivial(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
     """Single-vertex amplitude: the Gaussian mean of the action over
     N^2, estimated by seeded Monte Carlo."""
@@ -648,26 +633,8 @@ def amplitude_trivial(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
         return AmplitudeEstimate("empty", 0j, 1e-16, cfg.n_samples, cfg.seed)
     _amplitude_gate(params)
     n = params.n_l
-    total = 0j
-    total_sq = 0.0
-    base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    for worker in range(cfg.n_workers):
-        n_w = base + (1 if worker < rem else 0)
-        rng = _worker_rng(cfg.seed, 0, worker)
-        done = 0
-        while done < n_w:
-            take = min(MC_CHUNK, n_w - done)
-            m = _gaussian_chunk(rng, take, n, 1)[:, 0]
-            s = _s_of_matrices(params, m)
-            total += s.sum()
-            total_sq += float(np.sum(np.abs(s) ** 2))
-            done += take
-    mean = total / cfg.n_samples
-    var = max(total_sq / cfg.n_samples - abs(mean) ** 2, 0.0)
-    if not (math.isfinite(var) and math.isfinite(abs(mean))):
-        raise QuadratureFailure("MC variance blew up for the vertex amplitude")
-    err = max(math.sqrt(var / cfg.n_samples), 1e-16) / n**2
-    return AmplitudeEstimate("empty", complex(mean) / n**2, err, cfg.n_samples, cfg.seed)
+    mean, err = _mc_mean(lambda m: _s_of_matrices(params, m), (cfg.seed, 0), cfg, (n, n))
+    return AmplitudeEstimate("empty", complex(mean[0]) / n**2, err / n**2, cfg.n_samples, cfg.seed)
 
 
 # QUADPACK qk15: the Kronrod abscissae in [0, 1) of [-1, 1], descending,
@@ -715,33 +682,22 @@ def amplitude_tree2(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
     if n > 3:
         raise SizeBound("tree amplitudes bounded at N = 3")
     nodes, weights = _w_rule()
-    totals = np.zeros(2, dtype=complex)
-    total_sq = 0.0
-    base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    for worker in range(cfg.n_workers):
-        n_w = base + (1 if worker < rem else 0)
-        rng = _worker_rng(cfg.seed, 1, worker)
-        done = 0
-        while done < n_w:
-            take = min(MC_CHUNK, n_w - done)
-            g = _gaussian_chunk(rng, take, n, 3)
-            y = np.zeros((2, take), dtype=complex)
-            for wv, q in zip(nodes, weights.T):
-                m1 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 1]
-                m2 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 2]
-                gm1 = _grads_batch(params, m1, "gm")
-                mdg2 = _grads_batch(params, m2, "mdg")
-                y += q[:, None] * np.einsum("xij,xji->x", gm1, mdg2)
-            totals += y.sum(axis=1)
-            total_sq += float(np.sum(np.abs(y[0]) ** 2))
-            done += take
+
+    def kernel(g):
+        y = np.zeros((2, len(g)), dtype=complex)
+        for wv, q in zip(nodes, weights.T):
+            m1 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 1]
+            m2 = math.sqrt(wv) * g[:, 0] + math.sqrt(1.0 - wv) * g[:, 2]
+            gm1 = _grads_batch(params, m1, "gm")
+            mdg2 = _grads_batch(params, m2, "mdg")
+            y += q[:, None] * np.einsum("xij,xji->x", gm1, mdg2)
+        return y
+
+    (k15, g7), err = _mc_mean(kernel, (cfg.seed, 1), cfg, (3, n, n))
     norm = n ** (-3)
-    mean = totals[0] / cfg.n_samples
-    var = max(total_sq / cfg.n_samples - abs(mean) ** 2, 0.0)
-    err = max(math.sqrt(var / cfg.n_samples), 1e-16) * norm
-    check = float(abs(totals[0] - totals[1])) / cfg.n_samples * norm
     return AmplitudeEstimate(
-        "tree2", complex(mean) * norm, err, cfg.n_samples, cfg.seed, w_node_check=check
+        "tree2", complex(k15) * norm, err * norm, cfg.n_samples, cfg.seed,
+        w_node_check=float(abs(k15 - g7)) * norm,
     )
 
 

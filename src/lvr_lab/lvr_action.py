@@ -40,6 +40,7 @@ __all__ = [
     "action_s",
     "d_action_dlam",
     "grad_spectral",
+    "grad_spectral_many",
     "resolvent_derivative_check",
     "selective_integration_check",
 ]
@@ -278,9 +279,10 @@ def d_action_dlam(spec, params: ModelParams) -> complex:
     a = matrix_a(spec, params)
     adot = ev.a_dt_many(lam, s)
     ai, aj = a[:, None], a[None, :]
-    w = 1 + lam * _pair_sum(ai, aj, p)
+    pair = _pair_sum(ai, aj, p)
+    w = 1 + lam * pair
     q = adot[:, None] * _weighted_pair_sum(ai, aj, p)
-    dw = _pair_sum(ai, aj, p) + lam * (q + q.T)
+    dw = pair + lam * (q + q.T)
     d_mat = -np.sum(dw / w)
     wv = 1 + lam * a ** (p - 1)
     dwv = a ** (p - 1) + lam * (p - 1) * a ** (p - 2) * adot

@@ -12,6 +12,10 @@ routes are provided:
     fixed (seed, n_workers, n_samples) triple via counter-based
     per-worker streams.
 
+_mc_mean is the one Monte Carlo driver of the package: the oracle (RNG key
+(seed,)) and the LVE vertex and one-edge tree amplitudes (keys (seed, 0)
+and (seed, 1)) each pass it a kernel.
+
 The oracle restricts itself to Re(lam) >= 0: beyond that the original
 integrand is not absolutely integrable on the real spectrum and the
 comparison would be meaningless.
@@ -27,7 +31,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .errors import DivergentIntegrand, ToleranceNotMet
+from .errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
 from .lvr_action import ModelParams, _log_homotopy, _pair_sum, action_s_many, evaluator
 
 __all__ = [
@@ -209,41 +213,61 @@ def _principal_log_action(params: ModelParams, s_batch: np.ndarray) -> np.ndarra
     return s_val
 
 
-def _mc_weights_chunk(params: ModelParams, m: np.ndarray, mode: str) -> np.ndarray:
-    p, lam = params.p, params.lam
+def _s_of_matrices(params: ModelParams, m: np.ndarray) -> np.ndarray:
+    """S per sample for a (batch, N_l, N_r) matrix array: the spectrum of
+    X = M M^dag, clipped at 0, through _principal_log_action."""
     x = m @ m.conj().transpose(0, 2, 1)
-    if mode == "original":
-        xp = x
-        for _ in range(p - 1):
-            xp = xp @ x
-        tr = np.trace(xp, axis1=1, axis2=2)
-        return np.exp(-params.n_r * lam * tr)
-    s_batch = np.linalg.eigvalsh(x)
-    s_batch = np.clip(s_batch, 0.0, None)
-    return np.exp(_principal_log_action(params, s_batch))
+    return _principal_log_action(params, np.clip(np.linalg.eigvalsh(x), 0.0, None))
+
+
+def _mc_weights_chunk(params: ModelParams, m: np.ndarray, mode: str) -> np.ndarray:
+    if mode == "lvr":
+        return np.exp(_s_of_matrices(params, m))
+    x = m @ m.conj().transpose(0, 2, 1)
+    xp = x
+    for _ in range(params.p - 1):
+        xp = xp @ x
+    return np.exp(-params.n_r * params.lam * np.trace(xp, axis1=1, axis2=2))
+
+
+def _mc_mean(kernel, key: tuple, cfg: McConfig, shape: tuple) -> tuple:
+    """Monte Carlo means of kernel over complex Gaussian matrices.
+
+    Worker w takes its share of cfg.n_samples from Philox(key).jumped(w), in
+    chunks of at most MC_CHUNK draws of shape `shape` with entry variance
+    1/shape[-1].  kernel maps a (take, *shape) chunk to (..., take) values.
+    Returns the mean of every row, each summed in chunk order, as a flat
+    array, and the standard error of row 0, whose central moments are merged
+    chunk by chunk (Chan, Golub and LeVeque 1983).
+    """
+    total, count, m2 = 0j, 0, 0.0
+    base, rem = divmod(cfg.n_samples, cfg.n_workers)
+    for worker in range(cfg.n_workers):
+        n_w = base + (1 if worker < rem else 0)
+        rng = np.random.Generator(np.random.Philox(key).jumped(worker))
+        for done in range(0, n_w, MC_CHUNK):
+            take = min(MC_CHUNK, n_w - done)
+            raw = rng.standard_normal((take, *shape, 2))
+            y = kernel((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * shape[-1]))
+            y = y.reshape(-1, take)
+            sums = y.sum(axis=1)
+            delta = sums[0] / take - total[0] / count if count else 0.0
+            m2 += float(np.sum(np.abs(y[0] - sums[0] / take) ** 2))
+            m2 += abs(delta) ** 2 * count * take / (count + take)
+            total, count = total + sums, count + take
+    mean = total / cfg.n_samples
+    err = max(math.sqrt(m2) / cfg.n_samples, 1e-16)
+    if not (np.all(np.isfinite(mean)) and math.isfinite(err)):
+        raise QuadratureFailure("Monte Carlo mean or variance is not finite")
+    return mean, err
 
 
 def _mc_z(params: ModelParams, cfg: McConfig, mode: str) -> ZResult:
     _stability_gate(params.lam)
-    total = 0j
-    total_sq = 0.0
-    base, rem = divmod(cfg.n_samples, cfg.n_workers)
-    for worker in range(cfg.n_workers):
-        n_w = base + (1 if worker < rem else 0)
-        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(worker))
-        done = 0
-        while done < n_w:
-            take = min(MC_CHUNK, n_w - done)
-            raw = rng.standard_normal((take, params.n_l, params.n_r, 2))
-            m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * params.n_r)
-            w = _mc_weights_chunk(params, m, mode)
-            total += w.sum()
-            total_sq += float(np.abs(w) ** 2 @ np.ones(take))
-            done += take
-    mean = total / cfg.n_samples
-    var = max(total_sq / cfg.n_samples - abs(mean) ** 2, 0.0)
-    err = max(math.sqrt(var / cfg.n_samples), 1e-16)
-    return ZResult(complex(mean), "monte_carlo", err, cfg.n_samples, cfg.seed)
+    mean, err = _mc_mean(
+        lambda m: _mc_weights_chunk(params, m, mode), (cfg.seed,), cfg, (params.n_l, params.n_r)
+    )
+    return ZResult(complex(mean[0]), "monte_carlo", err, cfg.n_samples, cfg.seed)
 
 
 def z_original(

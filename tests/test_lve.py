@@ -34,10 +34,8 @@ from lvr_lab.lve import (
     grad_s_entries,
     lve_partial_sum,
     trees_to_csv,
-    _gaussian_chunk,
     _grads_batch,
     _w_rule,
-    _worker_rng,
 )
 from lvr_lab.oracle import MC_CHUNK, McConfig, free_energy
 from lvr_lab.lvr_action import ModelParams, grad_spectral_many
@@ -554,7 +552,8 @@ def test_tree2_chunk_matches_gauss_legendre_reference():
     # LAPACK eigenvectors and the p = 2 closed-form scalar map
     lam, seed = 0.05, 1234
     est = amplitude_tree2(params_sq(2, lam, 2), McConfig(n_samples=MC_CHUNK, seed=seed))
-    g = _gaussian_chunk(_worker_rng(seed, 1, 0), MC_CHUNK, 2, 3)
+    raw = np.random.Generator(np.random.Philox([seed, 1])).standard_normal((MC_CHUNK, 3, 2, 2, 2))
+    g = (raw[..., 0] + 1j * raw[..., 1]) / 2.0
 
     def g_of(m):
         vals, vecs = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))

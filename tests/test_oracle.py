@@ -4,13 +4,17 @@ representations, and a numeric bridge to the perturbative coefficients."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from lvr_lab import lvr_action, oracle
-from lvr_lab.errors import DivergentIntegrand, ToleranceNotMet
+from lvr_lab.errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
+from lvr_lab.lve import amplitude_tree2, amplitude_trivial
 from lvr_lab.lvr_action import ModelParams, Spectrum, action_s, evaluator
 from lvr_lab.oracle import (
     HOMOTOPY_CHUNK,
@@ -287,3 +291,83 @@ def test_perturbative_bridge():
         ref1, ref2 = (float(c.evaluate(n, n)) for c in logz_series(p, 2, "original"))
         assert abs(c1 - ref1) <= 1e-3 * abs(ref1)
         assert abs(c2 - ref2) <= 1e-3 * abs(ref2)
+
+
+# the one Monte Carlo driver
+
+# means of the three Monte Carlo loops that the one driver replaced, at
+# 2 MC_CHUNK + 1 samples and seed 1234, so that the runs cross chunk and
+# uneven-worker boundaries: every draw and every sum must keep its bits
+LAM_C = 0.05 * np.exp(1j * np.pi / 4)
+PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
+    (1, "lvr", 2): 0.7473916730594112 - 0.161944453245606j,
+    (1, "original", 2): 0.7483653763243433 - 0.162012493826167j,
+    (1, "lvr", 3): 0.28097735886925934 - 0.1900976993880415j,
+    (1, "original", 3): 0.2829243255858082 - 0.19048266102635808j,
+    (3, "lvr", 2): 0.7469619476929735 - 0.16210019430350475j,
+    (3, "original", 2): 0.7473522195979131 - 0.1620253020486501j,
+    (3, "lvr", 3): 0.2814655068215856 - 0.1907600641828098j,
+    (3, "original", 3): 0.2828781757791873 - 0.19185438974872823j,
+}
+PINNED_AMPLITUDES = {  # n_workers: (vertex, tree 2) at p = 2, N = 2, lam = 0.05
+    1: (-0.08578249689277491 + 0j, 0.002837961380411822 + 3.0083772395672647e-06j),
+    3: (-0.08592548398423609 + 0j, 0.0028450973189093993 - 2.842524286830504e-06j),
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_monte_carlo_means_are_pinned(n_workers):
+    cfg = McConfig(n_samples=2 * MC_CHUNK + 1, seed=1234, n_workers=n_workers)
+    for p in (2, 3):
+        pr = ModelParams(p=p, lam=LAM_C, n_l=p, n_r=p)
+        assert z_lvr(pr, cfg).value == PINNED_Z[n_workers, "lvr", p]
+        assert z_original(pr, cfg).value == PINNED_Z[n_workers, "original", p]
+    pr = ModelParams(p=2, lam=0.05, n_l=2, n_r=2)
+    vertex, tree2 = PINNED_AMPLITUDES[n_workers]
+    assert amplitude_trivial(pr, cfg).value == vertex
+    assert amplitude_tree2(pr, cfg).value == tree2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_samples=st.integers(1, 90),
+    n_workers=st.integers(1, 4),
+    chunk=st.integers(1, 17),
+    shape=st.sampled_from([(1, 1), (2, 3), (3, 2, 2)]),
+    rows=st.integers(1, 3),
+    offset=st.sampled_from([0.0, 300.0, 200.0 - 200.0j]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_driver_mean_is_the_ordered_sum_and_error_the_two_pass_variance(
+    n_samples, n_workers, chunk, shape, rows, offset, seed
+):
+    seen = []
+    coef = np.arange(1, math.prod(shape) + 1) * (1 - 0.5j)
+
+    def kernel(m):
+        flat = m.reshape(len(m), -1)
+        y = np.stack([offset + flat @ coef, np.abs(flat).sum(axis=1), flat[:, 0]])[:rows]
+        y = y[0] if rows == 1 else y
+        seen.append(y)
+        return y
+
+    cfg = McConfig(n_samples=n_samples, seed=seed, n_workers=n_workers)
+    with mock.patch.object(oracle, "MC_CHUNK", chunk):
+        mean, err = oracle._mc_mean(kernel, (seed, 7), cfg, shape)
+    total = 0j
+    for y in seen:
+        total = total + y.sum(axis=-1)
+    assert np.array_equal(mean, np.reshape(total / n_samples, -1))
+    row0 = np.concatenate([np.reshape(y, (rows, -1))[0] for y in seen])
+    assert row0.size == n_samples
+    want = max(math.sqrt(np.var(row0) / n_samples), 1e-16)
+    assert err == pytest.approx(want, rel=1e-12)
+
+
+def test_non_finite_kernel_raises_through_z_lvr(monkeypatch):
+    def infinite(params, m, mode):
+        return np.full(len(m), np.inf + 0j)
+
+    monkeypatch.setattr(oracle, "_mc_weights_chunk", infinite)
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure):
+        z_lvr(ModelParams(p=2, lam=0.05, n_l=2, n_r=2), McConfig(n_samples=100, seed=1))
