@@ -18,6 +18,11 @@ kernels 1/(v - u) would be singular on the integration domain.
 Enclosure of gamma1 and gamma2 by gamma0 is what turns the u integral
 into the divided difference of the scalar map, so the ordering is not a
 convention choice; relaxing it breaks the reconstruction identity.
+
+Every quadrature here uses the package's one cached Gauss-Legendre rule,
+oracle._gauss_legendre.  bound_integrals takes a(t, u) from the evaluator's
+T_p, in one call per pass; reconstruct_s keeps its own t-homotopy for a, so
+that it checks action_s by a route that shares no a-map with it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .errors import (
 )
 from .fuss_catalan import cut_start
 from .lvr_action import ModelParams, _as_spectrum, action_s, evaluator
+from .oracle import _gauss_legendre
 
 __all__ = [
     "KeyholeContour",
@@ -57,34 +63,31 @@ __all__ = [
 V_COLLISION_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyholeContour:
     """Closed keyhole curve with quadrature nodes.
 
-    nodes holds (point, weight) pairs where the weight already contains
-    the tangent dw and the 1/(2 pi i) Cauchy prefactor, so a contour
-    integral is just sum(weight * f(point)).  R may be math.inf; the
-    infinite variant stores only the small-arc nodes and is consumed by
-    bound_integrals, which builds its own ray quadrature with a
-    truncation certificate.
+    points and weights are read-only arrays of the same length.  Each
+    weight already contains the tangent dw and the 1/(2 pi i) Cauchy
+    prefactor, so a contour integral is just sum(weights * f(points)).
+    R may be math.inf; the infinite variant stores only the small-arc
+    nodes and is consumed by bound_integrals, which builds its own ray
+    quadrature with a truncation certificate.
     """
 
     r: float
     R: float
     psi: float
-    nodes: tuple
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.R)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.array([pt for pt, _ in self.nodes], dtype=complex)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.nodes], dtype=complex)
 
     def arclength_weights(self) -> np.ndarray:
         return np.abs(self.weights) * (2.0 * np.pi)
@@ -133,10 +136,6 @@ class ContourTriple:
                 )
 
 
-def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def make_keyhole(r: float, R: float, psi: float, nodes_per_piece: int = 64) -> KeyholeContour:
     """Keyhole with composite Gauss-Legendre nodes on each piece.
 
@@ -153,14 +152,14 @@ def make_keyhole(r: float, R: float, psi: float, nodes_per_piece: int = 64) -> K
         raise BadGeometry(f"psi must lie in (0, pi/2), got {psi}")
     if nodes_per_piece < 4:
         raise BadGeometry("need at least 4 nodes per piece")
-    x, wq = _gl(nodes_per_piece)
+    x, wq = _gauss_legendre(nodes_per_piece)
     t = 0.5 * (x + 1.0)
     if not math.isfinite(R):
         # small arc only; rays are built lazily by bound_integrals
         th = psi + (2 * np.pi - 2 * psi) * t
         pts = r * np.exp(1j * th)
         wts = 0.5 * (2 * np.pi - 2 * psi) * wq * 1j * r * np.exp(1j * th) / (2j * np.pi)
-        return KeyholeContour(r, R, psi, tuple(zip(pts, wts)))
+        return KeyholeContour(r, R, psi, pts, wts)
     pts = []
     wts = []
     # outgoing ray at angle -psi
@@ -188,12 +187,7 @@ def make_keyhole(r: float, R: float, psi: float, nodes_per_piece: int = 64) -> K
     for (_, stop), (start, _) in zip(ends, ends[1:] + ends[:1]):
         if abs(stop - start) > 1e-12 * max(1.0, R):
             raise BadGeometry("contour pieces do not close")
-    contour = KeyholeContour(
-        r,
-        R,
-        psi,
-        tuple(zip(np.concatenate(pts), np.concatenate(wts) / (2j * np.pi))),
-    )
+    contour = KeyholeContour(r, R, psi, np.concatenate(pts), np.concatenate(wts) / (2j * np.pi))
     probe = 0.5 * (r + R)
     w = winding_number(contour, probe)
     if abs(w - 1.0) > 1e-10:
@@ -349,7 +343,7 @@ def reconstruct_s(spec, params: ModelParams, triple: ContourTriple, t_nodes: int
     if min(g1.R, g2.R) <= smax:
         raise BadGeometry("v contours must enclose the spectrum")
     p = params.p
-    x, wq = _gl(t_nodes)
+    x, wq = _gauss_legendre(t_nodes)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * wq * lam
     u0, w0 = g0.points, g0.weights
@@ -452,7 +446,7 @@ def cut_sector_audit(params: ModelParams, contour: KeyholeContour, samples: int 
 def _infinite_nodes(g: KeyholeContour, ray_nodes: int, y_max: float):
     """Arclength nodes |dw| on the small arc plus both rays, with the
     radial coordinate substituted as rho = r e^y on [0, y_max]."""
-    x, wq = _gl(ray_nodes)
+    x, wq = _gauss_legendre(ray_nodes)
     y = 0.5 * y_max * (x + 1.0)
     wy = 0.5 * y_max * wq
     rho = g.r * np.exp(y)
@@ -462,53 +456,9 @@ def _infinite_nodes(g: KeyholeContour, ray_nodes: int, y_max: float):
     )
     wts = np.concatenate([jac, jac, g.arclength_weights()])
     is_tail = np.concatenate(
-        [y > 0.75 * y_max, y > 0.75 * y_max, np.zeros(len(g.nodes), dtype=bool)]
+        [y > 0.75 * y_max, y > 0.75 * y_max, np.zeros(len(g.points), dtype=bool)]
     )
     return pts, wts, is_tail
-
-
-def _a_along_rays(p: int, t: complex, us: np.ndarray, n_ray: int) -> np.ndarray:
-    """a(t, u) on infinite-keyhole nodes: both rays are walked outward
-    from the smallest modulus with warm-started Newton; the small-arc
-    nodes (beyond index 2 n_ray) are solved directly from seed u."""
-    out = np.empty(len(us), dtype=complex)
-    for start in (0, n_ray):
-        a_prev = None
-        u_prev = None
-        for j in range(start, start + n_ray):
-            u = us[j]
-            seeds = [u]
-            if a_prev is not None:
-                ratio = u / u_prev
-                seeds = [a_prev * ratio, a_prev * ratio ** (1.0 / p), a_prev, u]
-            a_val = _solve_scalar(p, t, u, seeds)
-            out[j] = a_val
-            a_prev, u_prev = a_val, u
-        # refinement fallback would go here; seeds have sufficed so far
-    arc = us[2 * n_ray :]
-    a = arc.astype(complex).copy()
-    if len(arc) and not _newton_t(p, a, arc, t):
-        a = _advance(p, arc.astype(complex), arc, 0j, t)
-    out[2 * n_ray :] = a
-    return out
-
-
-def _solve_scalar(p: int, t: complex, u: complex, seeds: list) -> complex:
-    for seed in seeds:
-        a = complex(seed)
-        ok = False
-        for _ in range(40):
-            f = a + t * a**p - u
-            fp = 1.0 + p * t * a ** (p - 1)
-            if abs(fp) < 1e-13:
-                break
-            a -= f / fp
-            if abs(f) < 1e-12 * (1.0 + abs(u)):
-                ok = True
-                break
-        if ok and abs(a + t * a**p - u) <= 1e-11 * (1.0 + abs(u)):
-            return a
-    raise ContinuationFailure(f"scalar solve failed at t={t}, u={u}")
 
 
 class BoundIntegrals(NamedTuple):
@@ -528,9 +478,16 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
     dec1b = (1.0 + np.abs(v1)) ** -1.0
     dec2a = (1.0 + np.abs(v2)) ** -1.5
     dec2b = (1.0 + np.abs(v2)) ** -1.0
-    x, wq = _gl(t_nodes)
+    x, wq = _gauss_legendre(t_nodes)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * wq * abs(lam)
+    # a(t, w) = w T_p(-t w^(p-1)) at every t-node in one call: arg z does not
+    # depend on t, so the ray nodes lie on at most six T_p rays, few enough
+    # for the evaluator to keep each ray's table; the small arcs lie in the
+    # series disk
+    ws = np.concatenate((v1, v2, u) if p > 2 else (v1, v2))
+    zs = -(lam * tau)[:, None] * ws ** (p - 1)
+    a_all = ws * evaluator(p).tp_eval_many(zs.ravel()).reshape(zs.shape)
     inv12 = 1.0 / np.abs(v1[:, None] - v2[None, :])
     if p > 2:
         ku1 = 1.0 / np.abs(v1[:, None] - u[None, :])
@@ -539,8 +496,7 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
     tails = np.zeros(3)
     for it in range(t_nodes):
         t = lam * tau[it]
-        a1 = _a_along_rays(p, t, v1, n_ray)
-        a2 = _a_along_rays(p, t, v2, n_ray)
+        a1, a2, au = np.split(a_all[it], [len(v1), len(v1) + len(v2)])
         a2d = _a_dt_from_a(p, t, a2)
         dd2 = np.abs(a2 ** (p - 1) + t * (p - 1) * a2 ** (p - 2) * a2d)
         psi_abs = 2.0 * inv12 * np.abs(a1)[:, None] * dd2[None, :]
@@ -551,7 +507,6 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
         tails[1] += wt[it] * ((vec1a * tail_1) @ psi_abs @ vec2b + vec1a @ psi_abs @ (vec2b * tail_2))
         tails[2] += wt[it] * ((vec1b * tail_1) @ psi_abs @ vec2a + vec1b @ psi_abs @ (vec2a * tail_2))
         if p > 2:
-            au = _a_along_rays(p, t, u, n_ray)
             a1d = _a_dt_from_a(p, t, a1)
             big = np.zeros((len(v1), len(v2)), dtype=complex)
             for k in range(1, p - 1):

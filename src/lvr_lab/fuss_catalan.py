@@ -147,13 +147,6 @@ class FcEvaluator:
 
     # ------------------------------------------------------- cut checks
 
-    def cut_distance(self, z: complex) -> float:
-        """Distance from z to the cut [R_p, +infinity)."""
-        z = complex(z)
-        if z.real >= self.cut_start:
-            return abs(z.imag)
-        return abs(z - self.cut_start)
-
     def _check_cut(self, zs: np.ndarray) -> None:
         zr = zs.real
         zi = zs.imag
@@ -468,10 +461,6 @@ class FcEvaluator:
         Differentiating u = a + lambda a^p gives da/du = 1/(1 + p lambda a^(p-1)).
         """
         a = self.a_eval(lam, u)
-        return 1.0 / (1.0 + self.p * lam * a ** (self.p - 1))
-
-    def a_du_many(self, lam: complex, us) -> np.ndarray:
-        a = self.a_eval_many(lam, us)
         return 1.0 / (1.0 + self.p * lam * a ** (self.p - 1))
 
     def functional_equation_residual(self, lam: complex, us) -> np.ndarray:

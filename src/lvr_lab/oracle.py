@@ -115,6 +115,8 @@ def _gauss_legendre(n: int) -> tuple:
     Newton on the three-term recurrence from the asymptotic guesses
     cos(pi (i + 3/4) / (n + 1/2)).  It needs no eigensolve, so it never makes
     the first large multithreaded LAPACK call of a process, which can stall.
+    It is the package's one Gauss-Legendre rule: the oracle's eigenvalue grid
+    and every contour quadrature use it.
     """
     x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(100):

@@ -96,6 +96,16 @@ def test_contains_matches_winding():
         assert abs(w - (1.0 if g.contains(s) else 0.0)) < 1e-8
 
 
+def test_keyhole_nodes_are_read_only():
+    for R in (5.0, math.inf):
+        g = make_keyhole(0.1, R, 0.3)
+        assert len(g.points) == len(g.weights)
+        with pytest.raises(ValueError):
+            g.points[0] = 0
+        with pytest.raises(ValueError):
+            g.weights[0] = 0
+
+
 def test_make_keyhole_rejects_bad_parameters():
     with pytest.raises(BadGeometry):
         make_keyhole(-0.1, 5.0, 0.3)
@@ -328,12 +338,32 @@ def test_bounds_p2_i1_vanishes():
     assert b.i1 == 0.0
     assert 0 < b.i2 < math.inf
     assert 0 < b.i3 < math.inf
+    # reference: the same quadrature with a from a per-point Newton solve
+    assert b.i2 == pytest.approx(37.76164803504441, rel=1e-12)
+    assert b.i3 == pytest.approx(39.733818989963325, rel=1e-12)
 
 
 def test_bounds_p3_finite():
     pr = params(3, 0.05, 1)
     b = bound_integrals(pr, triple_inf())
     assert all(0 < v < math.inf for v in (b.i1, b.i2, b.i3))
+    # reference: the same quadrature with a from a per-point Newton solve
+    want = (413.9961320585367, 63.32160945965331, 50.35844618464217)
+    assert tuple(b) == pytest.approx(want, rel=1e-12)
+
+
+def test_quadratures_need_no_leggauss(monkeypatch):
+    # every contour quadrature comes from the cached Newton rule, which
+    # needs no eigensolve
+    def boom(n):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", boom)
+    # make_keyhole winding-tests finite contours, reconstruct_s checks itself
+    make_keyhole(0.1, 5.0, 0.3)
+    assert make_keyhole(0.1, math.inf, 0.3, 41).points.shape == (41,)
+    reconstruct_s(SPECS[1], params(2, 0.1, 1), triple(), t_nodes=11)
+    assert bound_integrals(params(2, 0.05, 1), triple_inf(), t_nodes=5).i2 > 0
 
 
 def test_bounds_decrease_as_coupling_shrinks():
