@@ -22,7 +22,9 @@ convention choice; relaxing it breaks the reconstruction identity.
 Every quadrature here uses the package's one cached Gauss-Legendre rule,
 oracle._gauss_legendre.  bound_integrals takes a(t, u) from the evaluator's
 T_p, in one call per pass; reconstruct_s keeps its own t-homotopy for a, so
-that it checks action_s by a route that shares no a-map with it.
+that it checks action_s by a route that shares no a-map with it.  Both
+build the psi factor and the phi pair sum (as rank-one pairs, _phi_pairs)
+from their a values alone, with da/dt from lvr_action._a_dt.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .fuss_catalan import cut_start
-from .lvr_action import ModelParams, _as_spectrum, action_s, evaluator
+from .lvr_action import ModelParams, _a_dt, _as_spectrum, _psi_factor, action_s, evaluator
 from .oracle import _gauss_legendre
 
 __all__ = [
@@ -230,38 +232,37 @@ def cauchy_reconstruct_a(spec, params: ModelParams, contour: KeyholeContour) -> 
     return np.sum(w[None, :] * av[None, :] / (u[None, :] - s), axis=1)
 
 
+def _phi_pairs(p: int, t: complex, a1: np.ndarray, a2: np.ndarray) -> list:
+    """Rank-one pairs (l, r) whose products l * r add up to the phi pair sum
+    d/dt [t sum_{k=1}^{p-2} a1^k a2^(p-1-k)] at a_i = a(t, v_i); each k
+    gives two pairs, and p = 2 gives none."""
+    a1d, a2d = _a_dt(p, t, a1), _a_dt(p, t, a2)
+    pairs = []
+    for k in range(1, p - 1):
+        pairs.append((a1**k + k * t * a1d * a1 ** (k - 1), a2 ** (p - 1 - k)))
+        pairs.append((a1**k, (p - 1 - k) * t * a2d * a2 ** (p - 2 - k)))
+    return pairs
+
+
 def weight_phi(params: ModelParams, t: complex, u: complex, v1: complex, v2: complex) -> complex:
     """phi weight; empty k-sum makes it identically zero for p = 2."""
+    gap = min(abs(v1 - u), abs(v2 - u))
+    if gap < V_COLLISION_GUARD:
+        raise NearCollision(f"min(|v1 - u|, |v2 - u|) = {gap:.2e} below guard")
     p = params.p
     if p == 2:
         return 0j
-    t = complex(t)
-    ev = evaluator(p)
-    a_u = ev.a_eval(t, u)
-    a1 = ev.a_eval(t, v1)
-    a2 = ev.a_eval(t, v2)
-    a1d = ev.a_dt(t, v1)
-    a2d = ev.a_dt(t, v2)
-    tot = 0j
-    for k in range(1, p - 1):
-        tot += (
-            a1**k * a2 ** (p - 1 - k)
-            + t * k * a1d * a1 ** (k - 1) * a2 ** (p - 1 - k)
-            + t * (p - 1 - k) * a2d * a1**k * a2 ** (p - 2 - k)
-        )
-    return -a_u / ((v1 - u) * (v2 - u)) * tot
+    a_u, a1, a2 = evaluator(p).a_eval_many(t, np.array([u, v1, v2], dtype=complex))
+    tot = sum(l * r for l, r in _phi_pairs(p, t, a1, a2))
+    return complex(-a_u / ((v1 - u) * (v2 - u)) * tot)
 
 
 def weight_psi(params: ModelParams, t: complex, v1: complex, v2: complex) -> complex:
     if abs(v1 - v2) < V_COLLISION_GUARD:
         raise NearCollision(f"|v1 - v2| = {abs(v1 - v2):.2e} below guard")
     p = params.p
-    t = complex(t)
-    ev = evaluator(p)
-    a1 = ev.a_eval(t, v1)
-    a2 = ev.a_eval(t, v2)
-    a2d = ev.a_dt(t, v2)
-    return -2.0 / (v1 - v2) * a1 * (a2 ** (p - 1) + t * (p - 1) * a2 ** (p - 2) * a2d)
+    a1, a2 = evaluator(p).a_eval_many(t, np.array([v1, v2], dtype=complex))
+    return complex(-2.0 / (v1 - v2) * a1 * _psi_factor(p, t, a2))
 
 
 # scalar map on grids: warm-started Newton continuation along the t segment
@@ -306,13 +307,6 @@ def _a_grid(p: int, lam: complex, us: np.ndarray, taus: np.ndarray) -> np.ndarra
     return out
 
 
-def _a_dt_from_a(p: int, t: complex, a: np.ndarray) -> np.ndarray:
-    denom = 1.0 + p * t * a ** (p - 1)
-    if np.min(np.abs(denom)) < 1e-12:
-        raise ContinuationFailure("da/dt blows up: 1 + p t a^(p-1) vanished")
-    return -(a**p) / denom
-
-
 def reconstruct_s(spec, params: ModelParams, triple: ContourTriple, t_nodes: int = 16) -> complex:
     """Action via the factorized contour representation.
 
@@ -349,7 +343,6 @@ def reconstruct_s(spec, params: ModelParams, triple: ContourTriple, t_nodes: int
     u0, w0 = g0.points, g0.weights
     v1, w1 = g1.points, g1.weights
     v2, w2 = g2.points, g2.weights
-    a_u = _a_grid(p, lam, u0, tau)
     a_1 = _a_grid(p, lam, v1, tau)
     a_2 = _a_grid(p, lam, v2, tau)
     s_arr = np.array(sp.values)
@@ -357,27 +350,21 @@ def reconstruct_s(spec, params: ModelParams, triple: ContourTriple, t_nodes: int
     r2 = np.sum(1.0 / (v2[:, None] - s_arr[None, :]), axis=1)
     ker12 = -2.0 / (v1[:, None] - v2[None, :])
     if p > 2:
+        a_u = _a_grid(p, lam, u0, tau)
         k1 = 1.0 / (v1[:, None] - u0[None, :])
         k2 = 1.0 / (v2[:, None] - u0[None, :])
     total = 0j
     for it in range(t_nodes):
         t = lam * tau[it]
-        a1t, a2t, aut = a_1[it], a_2[it], a_u[it]
-        a1d = _a_dt_from_a(p, t, a1t)
-        a2d = _a_dt_from_a(p, t, a2t)
-        dd2 = a2t ** (p - 1) + t * (p - 1) * a2t ** (p - 2) * a2d
+        a1t, a2t = a_1[it], a_2[it]
         psi_term = np.sum(
-            (a1t * r1 * w1)[:, None] * (dd2 * r2 * w2)[None, :] * ker12
+            (a1t * r1 * w1)[:, None] * (_psi_factor(p, t, a2t) * r2 * w2)[None, :] * ker12
         )
         phi_term = 0j
         if p > 2:
-            base_u = -aut * w0
-            for k in range(1, p - 1):
-                q1 = (a1t**k * r1 * w1) @ k1
-                q2 = (a2t ** (p - 1 - k) * r2 * w2) @ k2
-                qh1 = (t * k * a1d * a1t ** (k - 1) * r1 * w1) @ k1
-                qh2 = (t * (p - 1 - k) * a2d * a2t ** (p - 2 - k) * r2 * w2) @ k2
-                phi_term += np.sum((q1 * q2 + qh1 * q2 + q1 * qh2) * base_u)
+            pairs = _phi_pairs(p, t, a1t, a2t)
+            q = sum(((l * r1 * w1) @ k1) * ((r * r2 * w2) @ k2) for l, r in pairs)
+            phi_term = np.sum(q * -a_u[it] * w0)
         total += wt[it] * (psi_term + phi_term)
     ref = action_s(sp, params).total
     if abs(total - ref) > 1e-5 * max(abs(ref), 1e-12):
@@ -474,10 +461,8 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
     u, wu, tail_u = _infinite_nodes(g0, n_ray, y_max)
     v1, w1, tail_1 = _infinite_nodes(g1, n_ray, y_max)
     v2, w2, tail_2 = _infinite_nodes(g2, n_ray, y_max)
-    dec1a = (1.0 + np.abs(v1)) ** -1.5
-    dec1b = (1.0 + np.abs(v1)) ** -1.0
-    dec2a = (1.0 + np.abs(v2)) ** -1.5
-    dec2b = (1.0 + np.abs(v2)) ** -1.0
+    vec1a, vec1b = w1 * (1.0 + np.abs(v1)) ** -1.5, w1 * (1.0 + np.abs(v1)) ** -1.0
+    vec2a, vec2b = w2 * (1.0 + np.abs(v2)) ** -1.5, w2 * (1.0 + np.abs(v2)) ** -1.0
     x, wq = _gauss_legendre(t_nodes)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * wq * abs(lam)
@@ -490,38 +475,33 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
     a_all = ws * evaluator(p).tp_eval_many(zs.ravel()).reshape(zs.shape)
     inv12 = 1.0 / np.abs(v1[:, None] - v2[None, :])
     if p > 2:
-        ku1 = 1.0 / np.abs(v1[:, None] - u[None, :])
-        ku2 = 1.0 / np.abs(v2[:, None] - u[None, :])
+        # |phi| summed over (v1, v2, u) as q.sum(0) @ (|a_u| wu) with
+        # q = m1 * (|pair sum| @ m2); each tail is one factor masked
+        m1 = vec1a[:, None] / np.abs(v1[:, None] - u[None, :])
+        m2 = vec2b[:, None] / np.abs(v2[:, None] - u[None, :])
+        m2_tail = m2 * tail_2[:, None]
     totals = np.zeros(3)
     tails = np.zeros(3)
     for it in range(t_nodes):
         t = lam * tau[it]
         a1, a2, au = np.split(a_all[it], [len(v1), len(v1) + len(v2)])
-        a2d = _a_dt_from_a(p, t, a2)
-        dd2 = np.abs(a2 ** (p - 1) + t * (p - 1) * a2 ** (p - 2) * a2d)
+        dd2 = np.abs(_psi_factor(p, t, a2))
         psi_abs = 2.0 * inv12 * np.abs(a1)[:, None] * dd2[None, :]
-        vec1a, vec1b = w1 * dec1a, w1 * dec1b
-        vec2a, vec2b = w2 * dec2a, w2 * dec2b
         totals[1] += wt[it] * (vec1a @ psi_abs @ vec2b)
         totals[2] += wt[it] * (vec1b @ psi_abs @ vec2a)
         tails[1] += wt[it] * ((vec1a * tail_1) @ psi_abs @ vec2b + vec1a @ psi_abs @ (vec2b * tail_2))
         tails[2] += wt[it] * ((vec1b * tail_1) @ psi_abs @ vec2a + vec1b @ psi_abs @ (vec2a * tail_2))
         if p > 2:
-            a1d = _a_dt_from_a(p, t, a1)
             big = np.zeros((len(v1), len(v2)), dtype=complex)
-            for k in range(1, p - 1):
-                big += np.outer(a1**k, a2 ** (p - 1 - k))
-                big += t * k * np.outer(a1d * a1 ** (k - 1), a2 ** (p - 1 - k))
-                big += t * (p - 1 - k) * np.outer(a1**k, a2d * a2 ** (p - 2 - k))
+            for l, r in _phi_pairs(p, t, a1, a2):
+                big += np.outer(l, r)
             babs = np.abs(big)
-            m1 = vec1a[:, None] * ku1
-            m2 = vec2b[:, None] * ku2
             uw = np.abs(au) * wu
-            contrib = np.einsum("au,ab,bu,u->", m1, babs, m2, uw, optimize=True)
-            totals[0] += wt[it] * contrib
-            tail_c = np.einsum("au,ab,bu,u->", m1 * tail_1[:, None], babs, m2, uw, optimize=True)
-            tail_c += np.einsum("au,ab,bu,u->", m1, babs, m2 * tail_2[:, None], uw, optimize=True)
-            tail_c += np.einsum("au,ab,bu,u->", m1, babs, m2, uw * tail_u, optimize=True)
+            q = m1 * (babs @ m2)
+            q_sum = q.sum(0)
+            totals[0] += wt[it] * (q_sum @ uw)
+            tail_c = (tail_1 @ q) @ uw + q_sum @ (uw * tail_u)
+            tail_c += (m1 * (babs @ m2_tail)).sum(0) @ uw
             tails[0] += wt[it] * tail_c
     return totals, tails
 

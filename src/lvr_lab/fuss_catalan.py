@@ -162,10 +162,10 @@ class FcEvaluator:
 
     # ------------------------------------------------- Newton machinery
 
-    def _newton_scalar(self, z: complex, t0: complex, max_iter: int = 60) -> complex:
+    def _newton_scalar(self, z: complex, t0: complex) -> complex:
         p = self.p
         t = t0
-        for _ in range(max_iter):
+        for _ in range(25):
             f = z * t**p - t + 1
             if abs(f) < 1e-15:
                 return t
@@ -173,11 +173,6 @@ class FcEvaluator:
             if fp == 0:
                 break
             t = t - f / fp
-        return t
-
-    def _branch_point_limit(self) -> complex:
-        # at z = R_p the two colliding branches meet at T = p/(p-1)
-        t = self._newton_scalar(self.cut_start, self.p / (self.p - 1), max_iter=200)
         return t
 
     def _continue_scalar(self, z: complex) -> complex:
@@ -211,7 +206,7 @@ class FcEvaluator:
                 reach, gap = frac * abs(cur - rp), abs(target - cur)
                 z_try = target if gap <= reach else cur + (target - cur) * (reach / gap)
                 dt = t**p / (1 - p * cur * t ** (p - 1)) * (z_try - cur)
-                t_try = self._newton_scalar(z_try, t + dt, max_iter=25)
+                t_try = self._newton_scalar(z_try, t + dt)
                 res = abs(z_try * t_try**p - t_try + 1)
                 if res < self.tol_residual and abs(t_try - t - dt) <= 0.5 * abs(dt) + 1e-12 * abs(t):
                     cur, t = z_try, t_try
@@ -369,7 +364,8 @@ class FcEvaluator:
         out = np.empty_like(zs)
         at_bp = np.abs(zs - self.cut_start) <= self.tol_cut
         if np.any(at_bp):
-            out[at_bp] = self._branch_point_limit()
+            # at z = R_p the two colliding branches meet at T = p/(p-1)
+            out[at_bp] = self.p / (self.p - 1)
         series = (~at_bp) & (np.abs(zs) < 0.5 * self.cut_start)
         if np.any(series):
             out[series] = self._series_eval(zs[series])
@@ -443,17 +439,6 @@ class FcEvaluator:
         us = np.atleast_1d(np.asarray(us, dtype=complex))
         zs = -lam * us ** (self.p - 1)
         return us * self.tp_eval_many(zs)
-
-    def a_dt(self, lam: complex, u: complex) -> complex:
-        """Partial derivative of a with respect to the coupling lambda."""
-        return complex(self.a_dt_many(lam, np.array([u], dtype=complex))[0])
-
-    def a_dt_many(self, lam: complex, us) -> np.ndarray:
-        us = np.atleast_1d(np.asarray(us, dtype=complex))
-        zs = -lam * us ** (self.p - 1)
-        t = self.tp_eval_many(zs)
-        tp = self.tp_deriv_many(zs, t_vals=t)
-        return -(us**self.p) * tp
 
     def a_du(self, lam: complex, u: complex) -> complex:
         """Partial derivative of a with respect to the spectral variable u.

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BranchPoint,
     DegenerateSpectrum,
     HomotopyTooCoarse,
     LogBranchAmbiguity,
@@ -217,6 +218,20 @@ def _pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _a_dt(p: int, t: complex, a: np.ndarray) -> np.ndarray:
+    """da/dt at a = a(t, u), from u = a + t a^p.  The denominator equals
+    1 - p z T^(p-1), so it vanishes only at the branch point."""
+    denom = 1.0 + p * t * a ** (p - 1)
+    if np.min(np.abs(denom)) < 1e-12:
+        raise BranchPoint("da/dt blows up: 1 + p t a^(p-1) vanishes")
+    return -(a**p) / denom
+
+
+def _psi_factor(p: int, t: complex, a: np.ndarray) -> np.ndarray:
+    """d/dt [t a^(p-1)] at a = a(t, u)."""
+    return a ** (p - 1) + t * (p - 1) * a ** (p - 2) * _a_dt(p, t, a)
+
+
 def action_s_many(s_batch, params: ModelParams, n_t: int = 96) -> tuple:
     """Loop vertex action (s_mat, s_vec), each of shape (k,), for (k, n_l) spectra.
 
@@ -274,10 +289,8 @@ def d_action_dlam(spec, params: ModelParams) -> complex:
     """
     spec = _as_spectrum(spec)
     p, lam = params.p, params.lam
-    ev = evaluator(p)
-    s = spec.array.astype(complex)
     a = matrix_a(spec, params)
-    adot = ev.a_dt_many(lam, s)
+    adot = _a_dt(p, lam, a)
     ai, aj = a[:, None], a[None, :]
     pair = _pair_sum(ai, aj, p)
     w = 1 + lam * pair
@@ -285,8 +298,7 @@ def d_action_dlam(spec, params: ModelParams) -> complex:
     dw = pair + lam * (q + q.T)
     d_mat = -np.sum(dw / w)
     wv = 1 + lam * a ** (p - 1)
-    dwv = a ** (p - 1) + lam * (p - 1) * a ** (p - 2) * adot
-    d_vec = -(params.n_r - params.n_l) * np.sum(dwv / wv)
+    d_vec = -(params.n_r - params.n_l) * np.sum(_psi_factor(p, lam, a) / wv)
     return complex(d_mat + d_vec)
 
 

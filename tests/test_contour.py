@@ -8,9 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lvr_lab.contour import (
     ContourTriple,
+    _bound_pass,
+    _phi_pairs,
     bound_integrals,
     cauchy_reconstruct_a,
     cut_sector_audit,
@@ -58,6 +62,16 @@ def triple_inf(nodes: int = 64) -> ContourTriple:
         make_keyhole(0.14, math.inf, 0.36, nodes),
         make_keyhole(0.10, math.inf, 0.27, nodes),
         make_keyhole(0.05, math.inf, 0.18, nodes),
+    )
+
+
+def triple_p4(nodes: int, finite: bool = True) -> ContourTriple:
+    """Openings narrow enough for p = 4: psi < epsilon/(2(p-1)) = 0.26."""
+    outer = [6.0, 4.0, 3.5] if finite else [math.inf] * 3
+    return ContourTriple(
+        make_keyhole(0.14, outer[0], 0.24, nodes),
+        make_keyhole(0.10, outer[1], 0.18, nodes),
+        make_keyhole(0.05, outer[2], 0.12, nodes),
     )
 
 
@@ -240,6 +254,41 @@ def test_psi_near_collision_guard():
         weight_psi(pr, 0.05, 1.0 + 0j, 1.0 + 1e-10j)
 
 
+@pytest.mark.parametrize("v1, v2", [(2.0, 3.0), (3.0, 2.0 + 1e-10j)])
+def test_phi_near_collision_guard(v1, v2):
+    pr = params(3, 0.05, 1)
+    with pytest.raises(NearCollision):
+        weight_phi(pr, 0.05, 2.0, v1, v2)
+
+
+A_VALUES = st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(3, 6),
+    t=st.complex_numbers(max_magnitude=0.2, allow_nan=False, allow_infinity=False),
+    a1=A_VALUES,
+    a2=A_VALUES,
+)
+def test_phi_pairs_sum_to_pair_sum(p, t, a1, a2):
+    # d/dt [t sum_{k=1}^{p-2} a1^k a2^(p-1-k)], written out term by term
+    den1, den2 = 1 + p * t * a1 ** (p - 1), 1 + p * t * a2 ** (p - 1)
+    assume(min(abs(den1), abs(den2)) > 1e-3)
+    a1d, a2d = -(a1**p) / den1, -(a2**p) / den2
+    terms = []
+    for k in range(1, p - 1):
+        terms += [
+            a1**k * a2 ** (p - 1 - k),
+            t * k * a1d * a1 ** (k - 1) * a2 ** (p - 1 - k),
+            t * (p - 1 - k) * a2d * a1**k * a2 ** (p - 2 - k),
+        ]
+    pairs = _phi_pairs(p, t, np.array([a1]), np.array([a2]))
+    assert len(pairs) == 2 * (p - 2)
+    got = sum(complex((l * r)[0]) for l, r in pairs)
+    assert abs(got - sum(terms)) <= 1e-13 * sum(abs(x) for x in terms)
+
+
 # reconstruct_s
 
 
@@ -261,6 +310,14 @@ def test_reconstruct_frozen_example():
     got = reconstruct_s(Spectrum((0.5, 1.2)), pr, triple(), t_nodes=20)
     ref = action_s(Spectrum((0.5, 1.2)), pr).total
     assert abs(got - ref) < 1e-5 * abs(ref)
+
+
+def test_reconstruct_p4_pinned():
+    # from p = 4 on, the phi pair sum has more than one k; the value is
+    # the reconstruction with the phi sum written out term by term
+    pr = params(4, 0.03 * cmath.exp(0.3j), 2)
+    got = reconstruct_s(SPECS[2], pr, triple_p4(192), t_nodes=20)
+    assert got == pytest.approx(-0.32138904497241094 - 0.08372377045948591j, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -350,6 +407,24 @@ def test_bounds_p3_finite():
     # reference: the same quadrature with a from a per-point Newton solve
     want = (413.9961320585367, 63.32160945965331, 50.35844618464217)
     assert tuple(b) == pytest.approx(want, rel=1e-12)
+
+
+def test_bounds_p4_pinned():
+    # reference: the same quadrature with the phi sum written out term by term
+    pr = params(4, 0.04 * cmath.exp(0.3j), 1)
+    b = bound_integrals(pr, triple_p4(32, finite=False), t_nodes=4, ray_nodes=40)
+    want = (845.4571100592393, 65.07817755469932, 44.928952445233215)
+    assert tuple(b) == pytest.approx(want, rel=1e-12)
+
+
+def test_bound_pass_tails_pinned():
+    # the tails feed the truncation certificate, which the bound values
+    # above only see when a window widens; reference as in the test above
+    totals, tails = _bound_pass(params(3, 0.05, 1), triple_inf(32), 4, 40, 20.0)
+    want = (321.79006076514366, 65.85024748934616, 54.51340636251873)
+    assert tuple(totals) == pytest.approx(want, rel=1e-12)
+    want = (25.134658230009137, 2.1439773507497666, 0.6917016009994)
+    assert tuple(tails) == pytest.approx(want, rel=1e-12)
 
 
 def test_quadratures_need_no_leggauss(monkeypatch):

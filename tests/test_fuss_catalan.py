@@ -17,6 +17,7 @@ from lvr_lab.fuss_catalan import (
     fc_numbers_table,
     moment_cross_check,
 )
+from lvr_lab.lvr_action import _a_dt
 
 
 def tree_count_oracle(p, n_max):
@@ -340,17 +341,18 @@ class TestScalarMap:
 
     def test_a_dt_closed_form_and_fd(self):
         # implicit differentiation of u = a + lam a^p gives
-        # da/dlam = -a^p / (1 + p lam a^(p-1))
+        # da/dlam = -a^p / (1 + p lam a^(p-1)), built from a alone
         for p in (2, 3):
             ev = FcEvaluator(p)
             u, lam = 0.9, 0.05 + 0.02j
-            a = ev.a_eval(lam, u)
-            want = -(a**p) / (1 + p * lam * a ** (p - 1))
-            got = ev.a_dt(lam, u)
-            assert got == pytest.approx(want, rel=1e-10)
+            got = _a_dt(p, lam, ev.a_eval(lam, u))
             h = 1e-6
             fd = (ev.a_eval(lam + h, u) - ev.a_eval(lam - h, u)) / (2 * h)
             assert got == pytest.approx(fd, rel=1e-6)
+        # 1 + p t a^(p-1) = 1 - p z T^(p-1) vanishes only at the branch
+        # point: p = 2, t = 1/4, a = -2 (u = -1, z = R_2)
+        with pytest.raises(BranchPoint):
+            _a_dt(2, 0.25, np.array([1.0, -2.0]))
 
     def test_a_du_matches_fd(self):
         for p in (2, 4):
