@@ -10,11 +10,13 @@ convergence the Taylor coefficients are the Fuss-Catalan numbers
 
     FC_p(n) = binomial(p*n, n) / ((p-1)*n + 1),
 
-and the series serves |z| < R_p / 2.  The negative real axis has its own
-monotone Newton.  Every other point is continued along its ray from a
-per-ray table over the log-radius nodes 0.35 R_p e^(h k), h = 0.05, which
-are built outward from the series by a Hermite predictor and Newton.  The
-table holds the cubic Hermite interpolant in log r on each node interval.
+and the series, summed by Horner's rule, serves |z| < R_p / 2.  The
+negative real axis has its own monotone Newton.  A float64 input below
+R_p / 2 is served in float64, with the bits of its complex route.  Every
+other point is continued along its ray from a per-ray table over the
+log-radius nodes 0.35 R_p e^(h k), h = 0.05, which are built outward from
+the series by a Hermite predictor and Newton.  The table holds the cubic
+Hermite interpolant in log r on each node interval.
 A point evaluates its interval's cubic and takes three Newton steps at its
 own z, so its value depends on nothing else in the call.  Points the
 table's guards reject are redone by a per-point walk whose steps are
@@ -64,6 +66,23 @@ def _hermite(t0, d0, t1, d1) -> np.ndarray:
     D = dT/dlog z at both nodes; one column per ray."""
     hd0, hd1, dt = _NODE_H * d0, _NODE_H * d1, t1 - t0
     return np.array([t0, hd0, 3 * dt - 2 * hd0 - hd1, hd0 + hd1 - 2 * dt])
+
+
+def _int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1 by right-to-left binary powering.
+
+    This is the order in which numpy multiplies for a complex base and an
+    integer exponent, so a real x gets the bits of the real part of
+    complex(x)**k; real x**k calls pow, whose last bit can differ for k >= 3.
+    """
+    out, sq = None, x
+    while True:
+        if k & 1:
+            out = sq if out is None else out * sq
+        k >>= 1
+        if not k:
+            return out
+        sq = sq * sq
 
 
 def fc_number(p: int, n: int) -> int:
@@ -142,8 +161,19 @@ class FcEvaluator:
     # ----------------------------------------------------------- series
 
     def _series_eval(self, zs: np.ndarray) -> np.ndarray:
-        w = np.asarray(zs, dtype=complex) / self.cut_start
-        return np.polynomial.polynomial.polyval(w, self._scaled)
+        """Horner's rule on the scaled coefficients, in the dtype of zs.
+
+        The bits are those of numpy's polyval at zs / R_p, because numpy's
+        complex division by a real multiplies by the reciprocal.  The product
+        is not taken in place: in-place complex multiply can give different
+        bits for different batch sizes.
+        """
+        w = zs * (1.0 / self.cut_start)
+        out = np.full_like(w, self._scaled[-1])
+        for c in self._scaled[-2::-1].tolist():
+            out = out * w
+            out += c
+        return out
 
     # ------------------------------------------------------- cut checks
 
@@ -355,11 +385,25 @@ class FcEvaluator:
         return complex(self.tp_eval_many(np.array([z], dtype=complex))[0])
 
     def tp_eval_many(self, zs) -> np.ndarray:
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        """T_p at each point of a 1-d array.
+
+        A float64 input whose points all lie below R_p/2 stays in float64:
+        its points lie in the series disk or on the negative axis, and the
+        result is float64, bit for bit the real part of the complex result.
+        Every other input is promoted to complex and returns complex.  A
+        point that is not finite raises ValueError naming its index.
+        """
+        zs = np.atleast_1d(np.asarray(zs))
         if zs.ndim != 1:
             raise ValueError("tp_eval_many expects a 1-d array")
+        finite = np.isfinite(zs)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"z at index {i} is not finite: {zs[i]}")
+        if not (zs.dtype == np.float64 and np.all(zs < 0.5 * self.cut_start)):
+            zs = np.asarray(zs, dtype=complex)
         if zs.size == 0:
-            return np.zeros(0, dtype=complex)
+            return np.zeros(0, dtype=zs.dtype)
         self._check_cut(zs)
         out = np.empty_like(zs)
         at_bp = np.abs(zs - self.cut_start) <= self.tol_cut
@@ -401,7 +445,7 @@ class FcEvaluator:
             live &= np.abs(step) >= 1e-15
             if not live.any():
                 break
-        return t.astype(complex)
+        return t
 
     def tp_eval_along(self, z: complex, waypoints: list[complex]) -> complex:
         """Continue T_p to z along an explicit cut-avoiding polyline.
@@ -436,8 +480,14 @@ class FcEvaluator:
         return complex(self.a_eval_many(lam, np.array([u], dtype=complex))[0])
 
     def a_eval_many(self, lam: complex, us) -> np.ndarray:
-        us = np.atleast_1d(np.asarray(us, dtype=complex))
-        zs = -lam * us ** (self.p - 1)
+        """a(lam, u) at each u.  Float64 us with a real lam keep the dtype
+        tp_eval_many gives their z, and the bits of the complex route."""
+        us = np.atleast_1d(np.asarray(us))
+        if us.dtype == np.float64 and np.imag(lam) == 0:
+            zs = -np.real(lam) * _int_power(us, self.p - 1)
+        else:
+            us = np.asarray(us, dtype=complex)
+            zs = -lam * us ** (self.p - 1)
         return us * self.tp_eval_many(zs)
 
     def a_du(self, lam: complex, u: complex) -> complex:

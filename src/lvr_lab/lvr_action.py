@@ -104,6 +104,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
+        if not all(np.isfinite(vals)):
+            raise ValueError("spectrum entries must be finite")
         if any(v < 0 for v in vals):
             raise ValueError("spectrum entries must be >= 0")
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
@@ -159,7 +161,8 @@ def matrix_a(spec, params: ModelParams) -> np.ndarray:
 def _a_checked(s: np.ndarray, params: ModelParams) -> np.ndarray:
     """a(lam, s) over an array of eigenvalues, with the index of the first
     eigenvalue whose T_p fails attached to the error, and every a checked
-    against s = a + lam * a^p to 1e-10."""
+    against s = a + lam * a^p to 1e-10.  Float64 s with a real lam may give
+    a float64 a (FcEvaluator.a_eval_many)."""
     ev = evaluator(params.p)
     try:
         a = ev.a_eval_many(params.lam, s.ravel()).reshape(s.shape)
@@ -173,7 +176,8 @@ def _a_checked(s: np.ndarray, params: ModelParams) -> np.ndarray:
                     f"eigenvalue index {where} (s={s[idx].real:g}): {inner}"
                 ) from inner
         raise exc
-    res = np.abs(a + params.lam * a**params.p - s)
+    lam = np.real(params.lam) if np.isrealobj(a) else params.lam
+    res = np.abs(a + lam * a**params.p - s)
     if np.max(res) > 1e-10:
         idx = np.unravel_index(np.argmax(res), res.shape)
         where = ", ".join(str(int(i)) for i in idx)
@@ -307,20 +311,31 @@ def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
 
     Uses the symmetry of the pair sum to fold the i- and j-derivatives
     into one weighted sum, then the chain rule da/ds = 1/(1 + p lam a^(p-1)).
-    For real lam >= 0 every z = -lam s^(p-1) lies in (-inf, 0], a is real,
-    and everything after the checked a-map runs in real arithmetic.
+    For real lam >= 0 every z = -lam s^(p-1) lies in (-inf, 0], and
+    everything from the spectrum to h runs in float64, with the bits the
+    complex a-map gives; the pair sums then run with the batch axis last.
     """
     s_batch = np.asarray(s_batch, dtype=float)
     if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
         raise ValueError(f"expected (k, n_l={params.n_l}) spectra, got {s_batch.shape}")
     p, lam = params.p, params.lam
-    a = _a_checked(s_batch.astype(complex), params)
-    if np.imag(lam) == 0 and np.real(lam) >= 0:
-        a, lam = a.real, float(np.real(lam))
+    real = np.imag(lam) == 0 and np.real(lam) >= 0
+    if real:
+        lam = float(np.real(lam))
+        a = _a_checked(s_batch, params)
+        # batch axis last, so that each pair-sum product is one loop over k
+        at = np.ascontiguousarray(a.T)
+        ai, aj = at[:, None], at[None, :]
+    else:
+        a = _a_checked(s_batch.astype(complex), params)
+        ai, aj = a[:, :, None], a[:, None, :]
+    q = _weighted_pair_sum(ai, aj, p) / (1 + lam * _pair_sum(ai, aj, p))
+    if real:
+        # back to (k, n, n), so that the sum over j is the complex branch's
+        # reduction, in its order
+        q = np.ascontiguousarray(q.transpose(2, 0, 1))
     a_du = 1.0 / (1.0 + p * lam * a ** (p - 1))
-    ai, aj = a[:, :, None], a[:, None, :]
-    w = 1 + lam * _pair_sum(ai, aj, p)
-    h = -2.0 * lam * a_du * np.sum(_weighted_pair_sum(ai, aj, p) / w, axis=2)
+    h = -2.0 * lam * a_du * np.sum(q, axis=2)
     if params.n_r > params.n_l:
         wv = 1 + lam * a ** (p - 1)
         h -= (params.n_r - params.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv

@@ -34,6 +34,15 @@ def test_eval_past_cut_exits_one(capsys):
     assert "CutProximity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "1,nan", "0.1,inf"])
+def test_eval_non_finite_z_exits_one_cleanly(capsys, z):
+    assert cli.main(["fc", "eval", "--p", "2", "--z", z]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lvr-lab: error: ") and "not finite" in err
+    assert err.count("\n") == 1
+
+
 def test_eval_malformed_z_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["fc", "eval", "--p", "2", "--z", "abc"])

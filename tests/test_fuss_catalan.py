@@ -385,20 +385,134 @@ def test_residual_contract_property(p, radius, angle):
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=st.sampled_from([2, 3]), seed=st.integers(0, 10**6), size=st.integers(1, 60))
-def test_value_does_not_depend_on_batch(p, seed, size):
+@given(
+    p=st.sampled_from([2, 3]),
+    seed=st.integers(0, 10**6),
+    size=st.integers(1, 60),
+    real=st.booleans(),
+)
+def test_value_does_not_depend_on_batch(p, seed, size, real):
     # each point in a call of its own on a second evaluator, the batch on a warm one
     ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
     rng = np.random.default_rng(seed)
     radii = 10.0 ** rng.uniform(-2, 3, size)
-    plane = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
-    # Monte Carlo ray, cut plane and negative axis, mixed at random
-    zs = np.choose(rng.integers(0, 3, size), [mc_ray_points(ev, size, seed), plane, -radii + 0j])
+    if real:
+        # float64 below R_p/2: series disk and negative axis
+        disk = ev.cut_start * rng.uniform(-0.5, 0.5, size)
+        zs = np.choose(rng.integers(0, 2, size), [disk, -radii])
+    else:
+        plane = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+        # Monte Carlo ray, cut plane and negative axis, mixed at random
+        zs = np.choose(rng.integers(0, 3, size), [mc_ray_points(ev, size, seed), plane, -radii + 0j])
     cold = FcEvaluator(p)
     alone = np.array([cold.tp_eval_many(zs[i : i + 1])[0] for i in range(size)])
     assert np.array_equal(ev.tp_eval_many(zs), alone)
     perm = rng.permutation(size)
     assert np.array_equal(ev.tp_eval_many(zs[perm]), alone[perm])
+    assert alone.dtype == zs.dtype
+
+
+def polyval_series(ev, zs):
+    """The series as numpy's polyval evaluates it, in complex arithmetic."""
+    return np.polynomial.polynomial.polyval(np.asarray(zs, dtype=complex) / ev.cut_start, ev._scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 6),
+    real=st.booleans(),
+    polar=st.lists(
+        st.tuples(st.floats(0.0, 0.5, exclude_max=True), st.floats(-0.5, 0.5)),
+        max_size=40,
+    ),
+    seed=st.integers(0, 10**6),
+)
+def test_series_is_polyval_bit_for_bit(p, real, polar, seed):
+    # (|z| / R_p, arg z in turns); a last-bit change in w rarely moves the
+    # sum, so many random points join the drawn ones
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    rng = np.random.default_rng(seed)
+    drawn = np.reshape(polar, (-1, 2))
+    r, turns = np.concatenate([drawn, rng.uniform([0.0, -0.5], 0.5, (400, 2))]).T
+    r, theta = r * ev.cut_start, turns * (2 * math.pi)
+    zs = r * np.cos(theta) if real else r * np.exp(1j * theta)
+    want = polyval_series(ev, zs)
+    if real:
+        assert not want.imag.any()
+        want = want.real
+    got = ev._series_eval(zs)
+    alone = np.concatenate([ev._series_eval(zs[i : i + 1]) for i in range(zs.size)])
+    assert got.dtype == alone.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(alone, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 6),
+    far=st.lists(st.floats(-1e4, 0.0), max_size=20),
+    disk=st.lists(st.floats(-0.5, 0.5), max_size=20),
+    edges=st.lists(st.sampled_from([0.0, -0.0, -1e4, "-R/2", "R/2"]), max_size=5),
+)
+def test_float_points_take_the_complex_bits(p, far, disk, edges):
+    # float64 below R_p/2 stays float64; any other point promotes the call
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    half = 0.5 * ev.cut_start
+    named = {"-R/2": -half, "R/2": half}
+    zs = np.array(far + [half * 2 * d for d in disk] + [named.get(e, e) for e in edges], dtype=float)
+    got = ev.tp_eval_many(zs)
+    want = ev.tp_eval_many(zs.astype(complex))
+    if np.all(zs < half):
+        assert got.dtype == np.float64
+        assert not want.imag.any()
+        assert np.array_equal(got, want.real)
+    else:
+        assert got.dtype == complex
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 6),
+    lam=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0), st.floats(-0.05, 0.0)),
+    as_complex=st.booleans(),
+    us=st.lists(st.floats(0.0, 50.0), max_size=30),
+    seed=st.integers(0, 10**6),
+)
+def test_float_a_map_takes_the_complex_bits(p, lam, as_complex, us, seed):
+    # a last-bit change in z rarely moves a, so add many random points
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    lam = complex(lam) if as_complex else lam
+    us = np.concatenate([us, 50.0 ** np.random.default_rng(seed).uniform(-1, 1, 400)])
+    zs = -np.real(lam) * (us.astype(complex) ** (p - 1)).real
+    try:
+        want = ev.a_eval_many(lam, us.astype(complex))
+    except CutProximity:
+        with pytest.raises(CutProximity):
+            ev.a_eval_many(lam, us)
+        return
+    got = ev.a_eval_many(lam, us)
+    if np.all(zs < 0.5 * ev.cut_start):
+        assert got.dtype == np.float64
+        assert not want.imag.any()
+        assert np.array_equal(got, want.real)
+    else:
+        assert got.dtype == complex
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "zs, index",
+    [
+        ([np.nan], 0),
+        ([0.1, -np.inf, np.nan], 1),
+        ([0.01j, -2.0, complex(0.0, np.nan), np.inf], 2),
+        ([3.0 + 1j, complex(np.inf, 1.0)], 1),
+    ],
+)
+def test_non_finite_point_is_named(zs, index):
+    with pytest.raises(ValueError, match=f"index {index} "):
+        FcEvaluator(2).tp_eval_many(zs)
 
 
 def test_decay_bound_report():

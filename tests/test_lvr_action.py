@@ -73,6 +73,9 @@ class TestDomainTypes:
             Spectrum((-0.1, 0.5))
         with pytest.raises(ValueError):
             Spectrum(())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Spectrum((0.5, bad))
         s = Spectrum((0.0, 0.5, 2.0))
         assert len(s) == 3
         assert s.array.dtype == float
@@ -117,6 +120,10 @@ class TestMatrixA:
             a = matrix_a(spec, params(p=4, lam=lam, n_l=8))
             res = np.abs(a + lam * a**4 - spec.array)
             assert np.max(res) < 1e-10
+
+    def test_non_finite_eigenvalue_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            matrix_a([np.nan, 1.0], params(p=2, lam=0.1, n_l=2))
 
     def test_cut_error_carries_index(self):
         # z = -lam * s^(p-1) = 0.3 sits on the cut [1/4, inf) for p = 2
@@ -400,6 +407,46 @@ def test_grad_spectral_many_complex_path_is_the_complex_formula(k, n, extra, p, 
     pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n + extra)
     spectra = draw_spectra(seed, k, n, zero_mode, high=1.0)
     assert np.array_equal(grad_spectral_many(spectra, pr), complex_grad_formula(spectra, pr))
+
+
+def real_grad_formula(spectra, pr):
+    """The spectral gradient in real arithmetic, with a from the complex
+    a-map and the pair sums on (k, n, n) broadcast views."""
+    p, lam = pr.p, float(np.real(pr.lam))
+    s = spectra.astype(complex)
+    a = lvr_action.evaluator(p).a_eval_many(pr.lam, s.ravel()).reshape(s.shape).real
+    a_du = 1.0 / (1.0 + p * lam * a ** (p - 1))
+    ai, aj = a[:, :, None], a[:, None, :]
+    pair = np.zeros(s.shape + s.shape[-1:])
+    weighted = np.zeros(s.shape + s.shape[-1:])
+    for k in range(p):
+        pair += ai**k * aj ** (p - 1 - k)
+    for k in range(1, p):
+        weighted += k * ai ** (k - 1) * aj ** (p - 1 - k)
+    h = -2.0 * lam * a_du * np.sum(weighted / (1 + lam * pair), axis=2)
+    if pr.n_r > pr.n_l:
+        wv = 1 + lam * a ** (p - 1)
+        h -= (pr.n_r - pr.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.one_of(st.integers(1, 7), st.just(3000)),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    p=st.integers(2, 5),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_min=True, exclude_max=True)),
+    as_complex=st.booleans(),
+    zero_mode=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_grad_spectral_many_real_path_is_the_real_formula(k, n, extra, p, lam, as_complex, zero_mode, seed):
+    pr = ModelParams(p=p, lam=complex(lam) if as_complex else lam, n_l=n, n_r=n + extra)
+    spectra = draw_spectra(seed, k, n, zero_mode)
+    got = grad_spectral_many(spectra, pr)
+    assert got.dtype == complex
+    assert np.array_equal(got, real_grad_formula(spectra, pr))
 
 
 def test_grad_spectral_cut_error_carries_index():
