@@ -531,6 +531,13 @@ def _grad_fd(params: ModelParams, m: np.ndarray, h: float = 1e-6):
     return dm, dmbar.T
 
 
+def _near_degenerate(vals: np.ndarray) -> np.ndarray:
+    """Samples whose sorted spectra have a gap below 1e-9 (1 + s_max)."""
+    if vals.shape[1] < 2:
+        return np.zeros(vals.shape[0], dtype=bool)
+    return np.min(np.diff(vals, axis=1), axis=1) < 1e-9 * (1.0 + vals[:, -1])
+
+
 def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     """One gradient side per sample: G M (side "gm") or M^dag G (side
     "mdg"), where G = dS/dX has the eigenvectors of X = M M^dag and the
@@ -551,9 +558,12 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
         t, half = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
         r = np.hypot(half, np.abs(b))
         vals = np.clip(np.stack([t - r, t + r], axis=1), 0.0, None)
+        bad = _near_degenerate(vals)
         h = grad_spectral_many(vals, params)
         c = 0.5 * (h[:, 0] + h[:, 1])
-        beta = (h[:, 1] - h[:, 0]) / np.where(r > 0, 2.0 * r, 1.0)
+        # finite-difference samples are overwritten below; a subnormal r
+        # there would overflow the quotient
+        beta = (h[:, 1] - h[:, 0]) / np.where(bad, 1.0, 2.0 * r)
         g = (c + beta * half, beta * b, beta * b.conj(), c - beta * half)
         if side == "gm":
             (l0, l1, l2, l3), (r0, r1, r2, r3) = g, (m00, m01, m10, m11)
@@ -565,15 +575,13 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     else:
         vals, vecs = np.linalg.eigh(np.einsum("xij,xkj->xik", m, m.conj()))
         vals = np.clip(vals, 0.0, None)
+        bad = _near_degenerate(vals)
         g = np.einsum("xij,xj,xkj->xik", vecs, grad_spectral_many(vals, params), vecs.conj())
         lhs, rhs = (g, m) if side == "gm" else (m.conj().transpose(0, 2, 1), g)
         out = np.einsum("xij,xjk->xik", lhs, rhs)
-    if vals.shape[1] > 1:
-        scale = 1.0 + vals[:, -1]
-        bad = np.min(np.diff(vals, axis=1), axis=1) < 1e-9 * scale
-        for idx in np.nonzero(bad)[0]:
-            dm, dd = _grad_fd(params, m[idx])
-            out[idx] = (dd if side == "gm" else dm).T
+    for idx in np.nonzero(bad)[0]:
+        dm, dd = _grad_fd(params, m[idx])
+        out[idx] = (dd if side == "gm" else dm).T
     return out
 
 
@@ -587,12 +595,10 @@ def grad_s_entries(params: ModelParams, m: np.ndarray, method: str = "spectral")
         return _grad_fd(params, m)
     if method != "spectral":
         raise ValueError("method must be 'spectral' or 'fd'")
-    if params.n_l > 1:
-        vals = np.linalg.eigvalsh(m @ m.conj().T)
-        if np.min(np.diff(vals)) < 1e-9 * (1.0 + vals[-1]):
-            raise DegenerateSpectrum(
-                "eigenvalues too close for a stable eigenbasis; use method='fd'"
-            )
+    if _near_degenerate(np.linalg.eigvalsh(m @ m.conj().T)[None])[0]:
+        raise DegenerateSpectrum(
+            "eigenvalues too close for a stable eigenbasis; use method='fd'"
+        )
     dm = _grads_batch(params, m[None], "mdg")[0].T
     return dm, _grads_batch(params, m[None], "gm")[0].T
 

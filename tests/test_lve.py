@@ -408,6 +408,16 @@ def test_n2_gradient_degenerate_samples_take_finite_differences(monkeypatch):
             assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
 
 
+def test_n2_gradient_subnormal_gap_takes_finite_differences():
+    # X = diag(0, 7.9e-322): r is subnormal and (h2 - h1) / (2 r) would overflow
+    pr = params_sq(2, 0.5, 2)
+    m = np.diag([0.0, 2.8085390528476588e-161j])[None]
+    for side in ("gm", "mdg"):
+        got = _grads_batch(pr, m, side)
+        dm, dd = lve._grad_fd(pr, m[0])
+        assert np.array_equal(got[0], (dd if side == "gm" else dm).T)
+
+
 def test_grad_rejects_wrong_shape():
     pr = params_sq(2, 0.1, 2)
     with pytest.raises(ValueError):
