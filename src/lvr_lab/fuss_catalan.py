@@ -119,39 +119,27 @@ def cut_start(p: int) -> Fraction:
 class FcEvaluator:
     """Evaluator for T_p, its derivative, and the scalar map a(lambda, u).
 
-    Parameters
-    ----------
-    p : int
-        Interaction order, p >= 2.
-    n_max : int
-        Number of cached series coefficients.  60 terms give series error
-        below 1e-18 anywhere in |z| <= 0.5 * R_p.
-    tol_residual : float
-        Every returned T must satisfy |z T^p - T + 1| <= tol_residual.
-    tol_cut : float
-        Points closer than this to the open cut (R_p, +inf) are rejected.
+    The one parameter is the interaction order p >= 2.  The class constants
+    are n_max, the number of cached series coefficients (60 terms give
+    series error below 1e-18 anywhere in |z| <= 0.5 * R_p); tol_residual,
+    which every returned T meets as |z T^p - T + 1| <= tol_residual; and
+    tol_cut, the distance from the open cut (R_p, +inf) within which points
+    are rejected.
     """
 
-    def __init__(
-        self,
-        p: int,
-        n_max: int = 60,
-        tol_residual: float = 1e-12,
-        tol_cut: float = 1e-9,
-    ) -> None:
+    n_max = 60
+    tol_residual = 1e-12
+    tol_cut = 1e-9
+
+    def __init__(self, p: int) -> None:
         if not (isinstance(p, int) and p >= 2):
             raise ValueError(f"p must be an integer >= 2, got {p!r}")
-        if n_max < 8:
-            raise ValueError("n_max too small for a usable series")
         self.p = p
-        self.n_max = n_max
-        self.tol_residual = float(tol_residual)
-        self.tol_cut = float(tol_cut)
         rp = cut_start(p)
         self.cut_start = float(rp)
         self._rho0 = 0.35 * self.cut_start  # series anchor radius of the continuation
         self._tables: OrderedDict = OrderedDict()  # ray key -> (cubics, ended early)
-        self.series_coeffs: list[int] = [fc_number(p, n) for n in range(n_max + 1)]
+        self.series_coeffs: list[int] = [fc_number(p, n) for n in range(self.n_max + 1)]
         # scaled coefficients c_n * R_p^n stay O(n^{-3/2}); exact rationals
         # are converted only after the product so nothing overflows
         self._scaled = np.array(
@@ -177,11 +165,12 @@ class FcEvaluator:
 
     # ------------------------------------------------------- cut checks
 
-    def _check_cut(self, zs: np.ndarray) -> None:
+    def _check_cut(self, zs: np.ndarray) -> np.ndarray:
+        """Raise CutProximity for a point on the open cut; return the mask of
+        points at the branch point, which are evaluable as a limit."""
         zr = zs.real
         zi = zs.imag
         on_cut = (zr > self.cut_start) & (np.abs(zi) < self.tol_cut)
-        # the branch point itself is evaluable as a limit, so exclude it
         at_bp = np.abs(zs - self.cut_start) <= self.tol_cut
         bad = on_cut & ~at_bp
         if np.any(bad):
@@ -189,6 +178,7 @@ class FcEvaluator:
             raise CutProximity(
                 f"z={zs[i]} is within {self.tol_cut} of the cut [{self.cut_start}, inf)"
             )
+        return at_bp
 
     # ------------------------------------------------- Newton machinery
 
@@ -404,9 +394,8 @@ class FcEvaluator:
             zs = np.asarray(zs, dtype=complex)
         if zs.size == 0:
             return np.zeros(0, dtype=zs.dtype)
-        self._check_cut(zs)
+        at_bp = self._check_cut(zs)
         out = np.empty_like(zs)
-        at_bp = np.abs(zs - self.cut_start) <= self.tol_cut
         if np.any(at_bp):
             # at z = R_p the two colliding branches meet at T = p/(p-1)
             out[at_bp] = self.p / (self.p - 1)

@@ -6,11 +6,14 @@ spectrum s_1..s_{N_l} of X = M M^dag.  The action splits into
     s_mat = - sum_{i,j} log[1 + lambda * sum_{k=0}^{p-1} a_i^k a_j^(p-1-k)]
     s_vec = - (N_r - N_l) * sum_i log[1 + lambda * a_i^(p-1)]
 
-with a_i = a(lambda, s_i).  Logs are principal-branch, protected by a
-winding guard along the homotopy t |-> t*lambda from 0: a crossing of the
-negative real axis is an error, never silently unwound into the answer.
-The guarded action is batched: action_s_many runs one homotopy over a
-(k, n_l) array of spectra, and action_s is its k = 1 case.
+with a_i = a(lambda, s_i).  Each log takes the branch that continuity
+along t |-> t*lambda from t = 0 fixes, and _action_logs is the one place
+that takes them.  Principal logs are that branch on every spectrum with
+|lambda| max |P_ij| < 0.99, and for real lambda >= 0; the other spectra
+run one batched homotopy with a winding guard, where a vanishing argument
+or a crossing of the negative real axis is an error, never silently
+unwound into the answer.  action_s_many sums the logs over a (k, n_l)
+array of spectra, and action_s is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ __all__ = [
     "resolvent_derivative_check",
     "selective_integration_check",
 ]
+
+HOMOTOPY_CHUNK = 64  # risky spectra per batched homotopy; larger ones gain no time, cost memory
 
 
 @lru_cache(maxsize=None)
@@ -206,14 +211,6 @@ def _log_homotopy_batch(w_path: np.ndarray, min_modulus: float = 1e-12) -> tuple
     return log, coarse
 
 
-def _log_homotopy(w_path: np.ndarray, min_modulus: float = 1e-12) -> np.ndarray:
-    """Principal-style log of w(t=1) tracked along one homotopy on axis 0."""
-    log, coarse = _log_homotopy_batch(w_path[:, None], min_modulus)
-    if coarse[0]:
-        raise HomotopyTooCoarse("homotopy too coarse to track the log branch")
-    return log[0]
-
-
 def _pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     """sum_{k=0}^{p-1} a_i^k * a_j^(p-1-k), broadcast over leading axes."""
     out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=np.result_type(a_i, a_j))
@@ -236,18 +233,18 @@ def _psi_factor(p: int, t: complex, a: np.ndarray) -> np.ndarray:
     return a ** (p - 1) + t * (p - 1) * a ** (p - 2) * _a_dt(p, t, a)
 
 
-def action_s_many(s_batch, params: ModelParams, n_t: int = 96) -> tuple:
-    """Loop vertex action (s_mat, s_vec), each of shape (k,), for (k, n_l) spectra.
+def _homotopy_logs(s_batch: np.ndarray, params: ModelParams) -> tuple:
+    """Logs of 1 + lam P_ij, shape (k, n, n), and of 1 + lam a_i^(p-1), shape
+    (k, n), for (k, n) spectra, each continued along t -> t lam from t = 0.
 
-    One tp_eval_many call covers the (n_t, k, n_l) homotopy grid.  Only rows
-    whose matrix or vector path is too coarse are redone at doubled n_t, up
-    to 1536 nodes; a vanishing or crossing log in any row raises."""
-    s_batch = np.asarray(s_batch, dtype=float)
-    if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
-        raise ValueError(f"expected (k, n_l={params.n_l}) spectra, got {s_batch.shape}")
+    One tp_eval_many call covers the (n_t, k, n) homotopy grid, first at 48
+    nodes.  Only rows whose matrix or vector path is too coarse are redone at
+    doubled n_t, up to 1536 nodes; a vanishing or crossing log in any row
+    raises.  The t = 1 slice does not depend on n_t, so neither does a log."""
     p, lam = params.p, params.lam
-    s_mat, s_vec = np.zeros((2, len(s_batch)), dtype=complex)
-    rows = np.arange(len(s_batch) if lam != 0 else 0)
+    log_mat = np.empty(s_batch.shape + s_batch.shape[1:], dtype=complex)
+    log_vec = np.empty(s_batch.shape, dtype=complex)
+    rows, n_t = np.arange(len(s_batch)), 48
     while rows.size:
         ts = np.linspace(0.0, 1.0, n_t)
         s = s_batch[rows].astype(complex)
@@ -255,24 +252,61 @@ def action_s_many(s_batch, params: ModelParams, n_t: int = 96) -> tuple:
         a = s[None] * evaluator(p).tp_eval_many(z.ravel()).reshape(z.shape)
         tl = (ts * lam)[:, None, None]
         w_mat = 1 + tl[..., None] * _pair_sum(a[..., :, None], a[..., None, :], p)
-        log_mat, coarse_mat = _log_homotopy_batch(w_mat)
-        log_vec, coarse_vec = _log_homotopy_batch(1 + tl * a ** (p - 1))
+        mat, coarse_mat = _log_homotopy_batch(w_mat)
+        vec, coarse_vec = _log_homotopy_batch(1 + tl * a ** (p - 1))
         ok = ~(coarse_mat | coarse_vec)
-        s_mat[rows[ok]] = -np.sum(log_mat[ok], axis=(1, 2))
-        s_vec[rows[ok]] = -(params.n_r - params.n_l) * np.sum(log_vec[ok], axis=1)
+        log_mat[rows[ok]], log_vec[rows[ok]] = mat[ok], vec[ok]
         rows = rows[~ok]
         if rows.size and n_t >= 1536:
             raise HomotopyTooCoarse(f"homotopy too coarse to track the log branch at n_t={n_t}")
         n_t *= 2
-    return s_mat, s_vec
+    return log_mat, log_vec
 
 
-def action_s(spec, params: ModelParams, n_t: int = 96) -> LoopVertexAction:
+def _action_logs(s_batch: np.ndarray, params: ModelParams) -> tuple:
+    """Logs of 1 + lam P_ij, shape (k, n, n), and of 1 + lam a_i^(p-1), shape
+    (k, n), for (k, n) spectra, on the branch continued from lam = 0.
+
+    Every row gets principal logs.  They are that branch unless the row is
+    risky, |lam| max |P_ij| >= 0.99.  |t lam P_ij| is at most
+    max(|t lam P_ii|, |t lam P_jj|), and |t lam P_ii| = p |1/T_p(z_i) - 1|
+    with z_i = -t lam s_i^(p-1) grows with t, since Re T_p < p/(p-1) on the
+    cut plane.  So on any other row every argument stays in |w - 1| < 0.99
+    for all t in [0, 1].  For real lam >= 0 every argument is real and >= 1.
+    Otherwise the risky rows are replaced by _homotopy_logs, HOMOTOPY_CHUNK
+    rows at a time."""
+    p, lam = params.p, params.lam
+    a = evaluator(p).a_eval_many(lam, s_batch.ravel().astype(complex)).reshape(s_batch.shape)
+    pair = _pair_sum(a[:, :, None], a[:, None, :], p)
+    log_mat = np.log(1 + lam * pair)
+    log_vec = np.log(1 + lam * a ** (p - 1))
+    if np.imag(lam) == 0 and np.real(lam) >= 0:
+        return log_mat, log_vec
+    risky = np.nonzero(np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99)[0]
+    for lo in range(0, risky.size, HOMOTOPY_CHUNK):
+        rows = risky[lo : lo + HOMOTOPY_CHUNK]
+        log_mat[rows], log_vec[rows] = _homotopy_logs(s_batch[rows], params)
+    return log_mat, log_vec
+
+
+def action_s_many(s_batch, params: ModelParams) -> tuple:
+    """Loop vertex action (s_mat, s_vec), each of shape (k,), for (k, n_l)
+    spectra: minus the sums of their _action_logs; exactly 0 at lam = 0."""
+    s_batch = np.asarray(s_batch, dtype=float)
+    if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
+        raise ValueError(f"expected (k, n_l={params.n_l}) spectra, got {s_batch.shape}")
+    if params.lam == 0:
+        return tuple(np.zeros((2, len(s_batch)), dtype=complex))
+    log_mat, log_vec = _action_logs(s_batch, params)
+    return -np.sum(log_mat, axis=(1, 2)), -(params.n_r - params.n_l) * np.sum(log_vec, axis=1)
+
+
+def action_s(spec, params: ModelParams) -> LoopVertexAction:
     """Loop vertex action in spectral form; exactly 0 at lam = 0."""
     spec = _as_spectrum(spec)
     if len(spec) != params.n_l:
         raise ValueError(f"spectrum has {len(spec)} entries, expected n_l={params.n_l}")
-    s_mat, s_vec = action_s_many(spec.array[None], params, n_t)
+    s_mat, s_vec = action_s_many(spec.array[None], params)
     return LoopVertexAction(complex(s_mat[0]), complex(s_vec[0]), complex(s_mat[0] + s_vec[0]))
 
 

@@ -12,6 +12,10 @@ routes are provided:
     fixed (seed, n_workers, n_samples) triple via counter-based
     per-worker streams.
 
+Both routes take the logs of the loop vertex action from
+lvr_action._action_logs: the quadrature as one table over node pairs, the
+Monte Carlo samples through action_s_many.
+
 _mc_mean is the one Monte Carlo driver of the package: the oracle (RNG key
 (seed,)) and the LVE vertex and one-edge tree amplitudes (keys (seed, 0)
 and (seed, 1)) each pass it a kernel.
@@ -32,7 +36,7 @@ import mpmath
 import numpy as np
 
 from .errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
-from .lvr_action import ModelParams, _log_homotopy, _pair_sum, action_s_many, evaluator
+from .lvr_action import ModelParams, _action_logs, _pair_sum, action_s_many
 
 __all__ = [
     "ZResult",
@@ -50,7 +54,6 @@ __all__ = [
 
 DEFAULT_NODES = {1: 384, 2: 128, 3: 72, 4: 40}
 MC_CHUNK = 8192
-HOMOTOPY_CHUNK = 64  # risky spectra per batched homotopy; larger ones gain no time, cost memory
 
 
 @dataclass(frozen=True)
@@ -86,26 +89,6 @@ def _s_max(params: ModelParams) -> float:
     # so the window is set by the Gaussian factor e^{-n s} alone; the
     # extra margin absorbs the polynomial Vandermonde growth.
     return (40.0 + 6.0 * params.n_l) / params.n_l
-
-
-def _pair_log_table(params: ModelParams, nodes: np.ndarray, n_t: int = 48) -> np.ndarray:
-    """Winding-guarded log[1 + lam * pair sum] over all node pairs.
-
-    Returns L[g, h] for 1-d node values; tensor grids gather from it.
-    """
-    p, lam = params.p, params.lam
-    ev = evaluator(p)
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        # real coupling keeps 1 + lam * pair on [1, inf) (T_p > 0 on the
-        # negative axis), so the principal log is already the homotopy log
-        z = -lam * nodes.astype(complex) ** (p - 1)
-        a = nodes * ev.tp_eval_many(z)
-        return np.log(1 + lam * _pair_sum(a[:, None], a[None, :], p))
-    ts = np.linspace(0.0, 1.0, n_t)
-    z = -(ts[:, None] * lam) * nodes[None, :].astype(complex) ** (p - 1)
-    a = nodes[None, :] * ev.tp_eval_many(z.ravel()).reshape(z.shape)
-    w = 1 + (ts * lam)[:, None, None] * _pair_sum(a[:, :, None], a[:, None, :], p)
-    return _log_homotopy(w)
 
 
 @lru_cache(maxsize=16)
@@ -162,7 +145,7 @@ def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
         for i in range(n):
             log_num = log_num + log_re[idx[i]]
     else:
-        log_table = _pair_log_table(params, s)
+        log_table = _action_logs(s[None], params)[0][0]
         for i in range(n):
             for j in range(n):
                 log_num = log_num - log_table[idx[i], idx[j]]
@@ -187,39 +170,12 @@ def _quadrature_z(params: ModelParams, mode: str, n_nodes: int | None) -> ZResul
     return ZResult(value, "eigen_quadrature", err, n_nodes**params.n_l)
 
 
-def _principal_log_action(params: ModelParams, s_batch: np.ndarray) -> np.ndarray:
-    """S per sample for a (batch, N_l) spectrum array, vectorized.
-
-    For real lam >= 0 every log argument is a real number >= 1, so the
-    principal branch is the true branch for every sample.  For complex
-    lam the principal branch is safe only for samples whose pair sums
-    satisfy |lam| * max |pair| < 1 (the argument then stays inside the
-    unit disk around 1); the others are recomputed with the
-    homotopy-guarded action, one batched homotopy per HOMOTOPY_CHUNK of them.
-    """
-    p, lam = params.p, params.lam
-    ev = evaluator(p)
-    a = ev.a_eval_many(lam, s_batch.ravel().astype(complex)).reshape(s_batch.shape)
-    pair = _pair_sum(a[:, :, None], a[:, None, :], p)
-    s_mat = -np.sum(np.log(1 + lam * pair), axis=(1, 2))
-    vec = 1 + lam * a ** (p - 1)
-    s_vec = -(params.n_r - params.n_l) * np.sum(np.log(vec), axis=1)
-    s_val = s_mat + s_vec
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        return s_val
-    risky = np.nonzero(np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99)[0]
-    for lo in range(0, risky.size, HOMOTOPY_CHUNK):
-        rows = risky[lo : lo + HOMOTOPY_CHUNK]
-        fb_mat, fb_vec = action_s_many(s_batch[rows], params)
-        s_val[rows] = fb_mat + fb_vec
-    return s_val
-
-
 def _s_of_matrices(params: ModelParams, m: np.ndarray) -> np.ndarray:
     """S per sample for a (batch, N_l, N_r) matrix array: the spectrum of
-    X = M M^dag, clipped at 0, through _principal_log_action."""
+    X = M M^dag, clipped at 0, through action_s_many."""
     x = m @ m.conj().transpose(0, 2, 1)
-    return _principal_log_action(params, np.clip(np.linalg.eigvalsh(x), 0.0, None))
+    s_mat, s_vec = action_s_many(np.clip(np.linalg.eigvalsh(x), 0.0, None), params)
+    return s_mat + s_vec
 
 
 def _mc_weights_chunk(params: ModelParams, m: np.ndarray, mode: str) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lvr_lab import lvr_action
@@ -20,8 +20,10 @@ from lvr_lab.lvr_action import (
     ModelParams,
     PacmanDomain,
     Spectrum,
-    _log_homotopy,
+    _action_logs,
+    _homotopy_logs,
     _log_homotopy_batch,
+    _pair_sum,
     action_s,
     action_s_many,
     d_action_dlam,
@@ -197,24 +199,26 @@ class TestLogHomotopyGuard:
         ts = np.linspace(0, 1, 200)
         w = np.exp(1.2j * np.pi * ts)[:, None]
         with pytest.raises(LogBranchAmbiguity, match="crossed"):
-            _log_homotopy(w)
+            _log_homotopy_batch(w)
 
     def test_detects_vanishing_argument(self):
         ts = np.linspace(0, 1, 200)
         w = (1 - ts)[:, None] + 0j
         with pytest.raises(LogBranchAmbiguity, match="vanished"):
-            _log_homotopy(w)
+            _log_homotopy_batch(w)
 
     def test_detects_coarse_path(self):
         w = np.exp(1j * np.array([0.0, 0.9 * np.pi, 1.8 * np.pi]))[:, None]
-        with pytest.raises(HomotopyTooCoarse, match="coarse"):
-            _log_homotopy(w)
+        log, coarse = _log_homotopy_batch(w)
+        assert coarse.tolist() == [True]
+        assert np.isnan(log[0])
 
     def test_tracks_large_but_legal_phase(self):
         ts = np.linspace(0, 1, 400)
         w = np.exp(0.9j * np.pi * ts)[:, None]
-        got = _log_homotopy(w)
-        assert got[0] == pytest.approx(0.9j * np.pi, rel=1e-12)
+        log, coarse = _log_homotopy_batch(w)
+        assert coarse.tolist() == [False]
+        assert log[0] == pytest.approx(0.9j * np.pi, rel=1e-12)
 
 
 class TestActionSMany:
@@ -224,7 +228,7 @@ class TestActionSMany:
         w = np.stack([coarse, smooth], axis=1)[:, :, None]
         log, mask = _log_homotopy_batch(w)
         assert mask.tolist() == [True, False]
-        assert np.array_equal(log[1], _log_homotopy(w[:, 1]))
+        assert np.array_equal(log[1], _log_homotopy_batch(w[:, 1:])[0][0])
 
     def test_crossing_in_one_row_raises(self):
         ts = np.linspace(0, 1, 200)
@@ -248,20 +252,20 @@ class TestActionSMany:
         def flag_row0_once(w_path):
             log, coarse = guard(w_path)
             seen.append(w_path.shape[:2])
-            if w_path.shape[0] == 96:
+            if w_path.shape[0] == 48:
                 coarse[0] = True
             return log, coarse
 
-        spectra = np.array([[0.3, 1.1], [0.5, 2.0], [0.9, 1.4]])
+        # every row is risky, |lam| max |P| >= 0.99, so all take the homotopy
+        spectra = np.array([[0.3, 1.3], [0.5, 2.0], [0.9, 1.4]])
         pr = params(p=3, lam=0.3 + 0.2j, n_l=2, n_r=3)
         monkeypatch.setattr(lvr_action, "_log_homotopy_batch", flag_row0_once)
         s_mat, s_vec = action_s_many(spectra, pr)
         monkeypatch.undo()
-        assert seen == [(96, 3), (96, 3), (192, 1), (192, 1)]
-        # T_p does not depend on the batch, so every row is bit-identical
-        want = action_s(Spectrum(tuple(spectra[0])), pr, n_t=192)
-        assert s_mat[0] == want.s_mat and s_vec[0] == want.s_vec
-        for i, row in enumerate(spectra[1:], start=1):
+        assert seen == [(48, 3), (48, 3), (96, 1), (96, 1)]
+        # T_p does not depend on the batch, and the t = 1 slice not on the
+        # grid, so every row is bit-identical to its own 48-node homotopy
+        for i, row in enumerate(spectra):
             want = action_s(Spectrum(tuple(row)), pr)
             assert s_mat[i] == want.s_mat and s_vec[i] == want.s_vec
 
@@ -275,9 +279,78 @@ class TestActionSMany:
             return log, np.ones_like(coarse)
 
         monkeypatch.setattr(lvr_action, "_log_homotopy_batch", always_coarse)
+        # a risky spectrum: |lam| max |P| is about 1.18
         with pytest.raises(HomotopyTooCoarse, match="n_t=1536"):
-            action_s_many(np.array([[0.5, 1.5]]), params(p=2, lam=0.2j, n_l=2))
-        assert sizes[::2] == [96, 192, 384, 768, 1536]
+            action_s_many(np.array([[0.5, 4.0]]), params(p=2, lam=0.2j, n_l=2))
+        assert sizes[::2] == [48, 96, 192, 384, 768, 1536]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 8),
+    theta=st.one_of(
+        st.floats(-np.pi, np.pi).filter(lambda t: abs(t) >= 1e-7),
+        st.floats(1.0, 7.0).map(lambda u: 10.0**-u),
+        st.floats(1.0, 7.0).map(lambda u: -(10.0**-u)),
+        st.just(0.0),
+    ),
+    x0=st.floats(-4.0, -3.75),
+)
+def test_principal_log_bound_on_rays(p, theta, x0):
+    """The bound behind _action_logs.  With z = -t lam s^(p-1), t lam a^(p-1)
+    is 1/T_p(z) - 1, and d log|1/T - 1| / d log r = Re[1/(p - (p-1) T)], which
+    is positive where Re T_p < p/(p-1).  So |1/T_p - 1| grows along every ray
+    of the cut plane, and |t lam P_ii| never exceeds its value at t = 1.
+    Rays run from 1e-4 R_p to 1e8 R_p, pass within 1e-6 R_p of the branch
+    point, and lie as close as 1e-7 rad to the cut; theta = 0 is the real
+    segment (0, R_p)."""
+    ev = lvr_action.evaluator(p)
+    rp = ev.cut_start
+    near = 1.0 + np.outer([-1.0, 1.0], 10.0 ** -np.arange(1, 7)).ravel()
+    r = np.sort(np.concatenate([rp * 10 ** (x0 + 0.25 * np.arange(49)), rp * near]))
+    if theta == 0.0:
+        r = r[r < rp]
+    t = ev.tp_eval_many(r * np.exp(1j * theta))
+    assert np.all(t.real < p / (p - 1))
+    assert np.all(np.diff(np.abs(1 / t - 1)) > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    p=st.integers(2, 5),
+    modulus=st.floats(0.01, 0.9),
+    arg=st.floats(-(np.pi - 0.51), np.pi - 0.51),
+    s_max=st.sampled_from([0.5, 3.0, 10.0]),
+    seed=st.integers(0, 10**6),
+)
+def test_principal_logs_are_the_homotopy_branch(k, n, extra, p, modulus, arg, s_max, seed):
+    """At complex lam, rows with |lam| max |P_ij| < 0.99 keep their principal
+    logs, which are the homotopy's to rounding; risky rows take the
+    homotopy's bits.  (Real lam >= 0 keeps principal logs on every row.)"""
+    pr = ModelParams(p=p, lam=complex(modulus * np.exp(1j * arg)), n_l=n, n_r=n + extra)
+    assume(pr.lam.imag != 0.0)
+    assert pr.is_in_pacman()
+    spectra = np.sort(np.random.default_rng(seed).uniform(0, s_max, (k, n)), axis=1)
+    a = lvr_action.evaluator(p).a_eval_many(pr.lam, spectra.ravel().astype(complex))
+    a = a.reshape(k, n)
+    pair = _pair_sum(a[:, :, None], a[:, None, :], p)
+    risky = abs(pr.lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99
+    # on a row that is not risky the homotopy cannot fail
+    safe_mat, safe_vec = _homotopy_logs(spectra[~risky], pr)
+    try:
+        log_mat, log_vec = _action_logs(spectra, pr)
+    except LvrLabError:
+        with pytest.raises(LvrLabError):
+            _homotopy_logs(spectra[risky], pr)
+        return
+    assert np.max(np.abs(log_mat[~risky] - safe_mat), initial=0.0) <= 1e-15
+    assert np.max(np.abs(log_vec[~risky] - safe_vec), initial=0.0) <= 1e-15
+    risky_mat, risky_vec = _homotopy_logs(spectra[risky], pr)
+    assert np.array_equal(log_mat[risky], risky_mat)
+    assert np.array_equal(log_vec[risky], risky_vec)
 
 
 @settings(max_examples=30, deadline=None)

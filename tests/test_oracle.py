@@ -15,12 +15,11 @@ from scipy import integrate
 from lvr_lab import lvr_action, oracle
 from lvr_lab.errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
 from lvr_lab.lve import amplitude_tree2, amplitude_trivial
-from lvr_lab.lvr_action import ModelParams, Spectrum, action_s, evaluator
+from lvr_lab.lvr_action import HOMOTOPY_CHUNK, ModelParams, Spectrum, action_s, evaluator
 from lvr_lab.oracle import (
-    HOMOTOPY_CHUNK,
     MC_CHUNK,
     McConfig,
-    _principal_log_action,
+    _s_of_matrices,
     free_energy,
     jacobian_positivity_check,
     measure_self_test,
@@ -227,17 +226,45 @@ def test_batched_fallback_matches_per_sample_loop(monkeypatch):
     s_batch = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
     want, risky = per_sample_principal_log_action(pr, s_batch)
     sizes = []
-    kernel = oracle.action_s_many
+    kernel = lvr_action._homotopy_logs
 
     def recording(s, params):
         sizes.append(len(s))
         return kernel(s, params)
 
-    monkeypatch.setattr(oracle, "action_s_many", recording)
-    got = _principal_log_action(pr, s_batch)
+    monkeypatch.setattr(lvr_action, "_homotopy_logs", recording)
+    got = _s_of_matrices(pr, m)
     assert sum(sizes) == np.count_nonzero(risky) > HOMOTOPY_CHUNK
     assert max(sizes) == HOMOTOPY_CHUNK
     assert np.array_equal(got, want)
+
+
+def homotopy_pair_log_table(params, nodes):
+    """The oracle's own table that _action_logs replaced: log[1 + lam * pair
+    sum] over all node pairs, each on one 48-node homotopy."""
+    p, lam = params.p, params.lam
+    ts = np.linspace(0.0, 1.0, 48)
+    z = -(ts[:, None] * lam) * nodes[None, :].astype(complex) ** (p - 1)
+    a = nodes[None, :] * evaluator(p).tp_eval_many(z.ravel()).reshape(z.shape)
+    pair = np.zeros((48, nodes.size, nodes.size), dtype=complex)
+    for k in range(p):
+        pair += a[:, :, None] ** k * a[:, None, :] ** (p - 1 - k)
+    w = 1 + (ts * lam)[:, None, None] * pair
+    log, coarse = lvr_action._log_homotopy_batch(w[:, None])
+    assert not coarse[0]
+    return log[0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadrature_table_is_the_homotopy_table(p, n):
+    """At the suite's complex coupling the one row of nodes is risky, so the
+    quadrature's table keeps the homotopy's bits."""
+    lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+    pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n)
+    s = oracle._log_measure(n, oracle.DEFAULT_NODES[n], oracle._s_max(pr))[0]
+    got = lvr_action._action_logs(s[None], pr)[0][0]
+    assert np.array_equal(got, homotopy_pair_log_table(pr, s))
 
 
 def test_fd_series_extraction():
