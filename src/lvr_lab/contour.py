@@ -24,7 +24,9 @@ oracle._gauss_legendre.  bound_integrals takes a(t, u) from the evaluator's
 T_p, in one call per pass; reconstruct_s keeps its own t-homotopy for a, so
 that it checks action_s by a route that shares no a-map with it.  Both
 build the psi factor and the phi pair sum (as rank-one pairs, _phi_pairs)
-from their a values alone, with da/dt from lvr_action._a_dt.
+from their a values alone, with da/dt from lvr_action._a_dt.  The kernels
+1/(v1 - v2) and 1/(v - u) do not depend on t, so each t-integral is a matrix
+product over all t-nodes; only |phi| in bound_integrals goes node by node.
 """
 
 from __future__ import annotations
@@ -340,32 +342,23 @@ def reconstruct_s(spec, params: ModelParams, triple: ContourTriple, t_nodes: int
     x, wq = _gauss_legendre(t_nodes)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * wq * lam
+    t = (lam * tau)[:, None]
     u0, w0 = g0.points, g0.weights
-    v1, w1 = g1.points, g1.weights
-    v2, w2 = g2.points, g2.weights
+    v1, v2 = g1.points, g2.points
     a_1 = _a_grid(p, lam, v1, tau)
     a_2 = _a_grid(p, lam, v2, tau)
     s_arr = np.array(sp.values)
-    r1 = np.sum(1.0 / (v1[:, None] - s_arr[None, :]), axis=1)
-    r2 = np.sum(1.0 / (v2[:, None] - s_arr[None, :]), axis=1)
+    # loop resolvents with the quadrature weights folded in
+    rw1 = g1.weights * np.sum(1.0 / (v1[:, None] - s_arr[None, :]), axis=1)
+    rw2 = g2.weights * np.sum(1.0 / (v2[:, None] - s_arr[None, :]), axis=1)
     ker12 = -2.0 / (v1[:, None] - v2[None, :])
+    per_node = np.sum(((a_1 * rw1) @ ker12) * (_psi_factor(p, t, a_2) * rw2), axis=1)
     if p > 2:
-        a_u = _a_grid(p, lam, u0, tau)
         k1 = 1.0 / (v1[:, None] - u0[None, :])
         k2 = 1.0 / (v2[:, None] - u0[None, :])
-    total = 0j
-    for it in range(t_nodes):
-        t = lam * tau[it]
-        a1t, a2t = a_1[it], a_2[it]
-        psi_term = np.sum(
-            (a1t * r1 * w1)[:, None] * (_psi_factor(p, t, a2t) * r2 * w2)[None, :] * ker12
-        )
-        phi_term = 0j
-        if p > 2:
-            pairs = _phi_pairs(p, t, a1t, a2t)
-            q = sum(((l * r1 * w1) @ k1) * ((r * r2 * w2) @ k2) for l, r in pairs)
-            phi_term = np.sum(q * -a_u[it] * w0)
-        total += wt[it] * (psi_term + phi_term)
+        q = sum(((l * rw1) @ k1) * ((r * rw2) @ k2) for l, r in _phi_pairs(p, t, a_1, a_2))
+        per_node += np.sum(q * (-_a_grid(p, lam, u0, tau) * w0), axis=1)
+    total = wt @ per_node
     ref = action_s(sp, params).total
     if abs(total - ref) > 1e-5 * max(abs(ref), 1e-12):
         raise ToleranceNotMet(
@@ -470,33 +463,36 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
     # depend on t, so the ray nodes lie on at most six T_p rays, few enough
     # for the evaluator to keep each ray's table; the small arcs lie in the
     # series disk
+    t = (lam * tau)[:, None]
     ws = np.concatenate((v1, v2, u) if p > 2 else (v1, v2))
-    zs = -(lam * tau)[:, None] * ws ** (p - 1)
+    zs = -t * ws ** (p - 1)
     a_all = ws * evaluator(p).tp_eval_many(zs.ravel()).reshape(zs.shape)
+    a_1, a_2, a_u = np.split(a_all, [len(v1), len(v1) + len(v2)], axis=1)
+    # |psi| = 2 |a1| |psi factor(a2)| / |v1 - v2| factors, so each psi sum
+    # over all t-nodes and (v1, v2) is one bilinear form in 1/|v1 - v2|
+    x1 = 2.0 * wt[:, None] * np.abs(a_1)
+    y2 = np.abs(_psi_factor(p, t, a_2))
     inv12 = 1.0 / np.abs(v1[:, None] - v2[None, :])
+
+    def psi_sum(l1: np.ndarray, r2: np.ndarray) -> float:
+        return np.sum(((x1 * l1) @ inv12) * (y2 * r2))
+
+    weights12 = ((vec1a, vec2b), (vec1b, vec2a))
+    totals = np.array([0.0] + [psi_sum(l, r) for l, r in weights12])
+    tails = np.array([0.0] + [psi_sum(l * tail_1, r) + psi_sum(l, r * tail_2) for l, r in weights12])
     if p > 2:
         # |phi| summed over (v1, v2, u) as q.sum(0) @ (|a_u| wu) with
-        # q = m1 * (|pair sum| @ m2); each tail is one factor masked
+        # q = m1 * (|pair sum| @ m2), each tail one factor masked; node by
+        # node, as the modulus of a sum of rank-one pairs does not factor
         m1 = vec1a[:, None] / np.abs(v1[:, None] - u[None, :])
         m2 = vec2b[:, None] / np.abs(v2[:, None] - u[None, :])
         m2_tail = m2 * tail_2[:, None]
-    totals = np.zeros(3)
-    tails = np.zeros(3)
-    for it in range(t_nodes):
-        t = lam * tau[it]
-        a1, a2, au = np.split(a_all[it], [len(v1), len(v1) + len(v2)])
-        dd2 = np.abs(_psi_factor(p, t, a2))
-        psi_abs = 2.0 * inv12 * np.abs(a1)[:, None] * dd2[None, :]
-        totals[1] += wt[it] * (vec1a @ psi_abs @ vec2b)
-        totals[2] += wt[it] * (vec1b @ psi_abs @ vec2a)
-        tails[1] += wt[it] * ((vec1a * tail_1) @ psi_abs @ vec2b + vec1a @ psi_abs @ (vec2b * tail_2))
-        tails[2] += wt[it] * ((vec1b * tail_1) @ psi_abs @ vec2a + vec1b @ psi_abs @ (vec2a * tail_2))
-        if p > 2:
+        for it in range(t_nodes):
             big = np.zeros((len(v1), len(v2)), dtype=complex)
-            for l, r in _phi_pairs(p, t, a1, a2):
+            for l, r in _phi_pairs(p, lam * tau[it], a_1[it], a_2[it]):
                 big += np.outer(l, r)
             babs = np.abs(big)
-            uw = np.abs(au) * wu
+            uw = np.abs(a_u[it]) * wu
             q = m1 * (babs @ m2)
             q_sum = q.sum(0)
             totals[0] += wt[it] * (q_sum @ uw)
@@ -527,6 +523,8 @@ def bound_integrals(
     """
     if not params.is_in_pacman():
         raise ValueError("lam outside the pacman domain")
+    if not (math.isfinite(y_max) and y_max > 0):
+        raise ValueError(f"y_max must be finite and positive, got {y_max}")
     for g in (triple.gamma0, triple.gamma1, triple.gamma2):
         if g.is_finite:
             raise BadGeometry("bound integrals are defined on infinite keyholes")

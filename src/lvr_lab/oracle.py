@@ -13,8 +13,8 @@ routes are provided:
     per-worker streams.
 
 Both routes take the logs of the loop vertex action from
-lvr_action._action_logs: the quadrature as one table over node pairs, the
-Monte Carlo samples through action_s_many.
+lvr_action._action_logs: the quadrature as one table over node pairs (at
+N = 1, one node per spectrum), the Monte Carlo samples through action_s_many.
 
 _mc_mean is the one Monte Carlo driver of the package: the oracle (RNG key
 (seed,)) and the LVE vertex and one-edge tree amplitudes (keys (seed, 0)
@@ -101,6 +101,8 @@ def _gauss_legendre(n: int) -> tuple:
     It is the package's one Gauss-Legendre rule: the oracle's eigenvalue grid
     and every contour quadrature use it.
     """
+    if n < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs at least one node, got {n}")
     x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(100):
         p_prev, p_n = np.ones(n), x
@@ -144,6 +146,9 @@ def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
         log_re = -(n * lam) * s.astype(complex) ** p
         for i in range(n):
             log_num = log_num + log_re[idx[i]]
+    elif n == 1:
+        # one node per spectrum: the N = 1 action is the pair table's diagonal
+        log_num = log_num - _action_logs(s[:, None], params)[0][:, 0, 0]
     else:
         log_table = _action_logs(s[None], params)[0][0]
         for i in range(n):

@@ -5,15 +5,19 @@ the three decay integrals."""
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lvr_lab import contour
 from lvr_lab.contour import (
     ContourTriple,
+    _a_grid,
     _bound_pass,
+    _infinite_nodes,
     _phi_pairs,
     bound_integrals,
     cauchy_reconstruct_a,
@@ -29,10 +33,12 @@ from lvr_lab.lvr_action import (
     ModelParams,
     PacmanDomain,
     Spectrum,
+    _psi_factor,
     action_s,
     evaluator,
     matrix_a,
 )
+from lvr_lab.oracle import _gauss_legendre
 
 # pacman wide enough that arg lam = +-pi/2 stays inside while the lemma
 # condition psi < epsilon/(2(p-1)) still leaves room for nested openings
@@ -331,6 +337,52 @@ def test_reconstruct_matches_action_grid(p, n, arg):
     assert abs(got - ref) < 1e-5 * abs(ref)
 
 
+def reconstruct_loop(spec, pr, tri, t_nodes):
+    """The factorized action summed one t-node at a time, with an (n1, n2)
+    psi block per node: the reference for reconstruct_s's matrix products."""
+    p, lam = pr.p, complex(pr.lam)
+    u0, w0 = tri.gamma0.points, tri.gamma0.weights
+    v1, w1 = tri.gamma1.points, tri.gamma1.weights
+    v2, w2 = tri.gamma2.points, tri.gamma2.weights
+    x, wq = _gauss_legendre(t_nodes)
+    tau = 0.5 * (x + 1.0)
+    wt = 0.5 * wq * lam
+    a_1, a_2, a_u = (_a_grid(p, lam, v, tau) for v in (v1, v2, u0))
+    s = np.array(spec.values)
+    r1 = np.sum(1.0 / (v1[:, None] - s[None, :]), axis=1)
+    r2 = np.sum(1.0 / (v2[:, None] - s[None, :]), axis=1)
+    ker12 = -2.0 / (v1[:, None] - v2[None, :])
+    k1 = 1.0 / (v1[:, None] - u0[None, :])
+    k2 = 1.0 / (v2[:, None] - u0[None, :])
+    total = 0j
+    for it in range(t_nodes):
+        t = lam * tau[it]
+        psi_term = np.sum(
+            (a_1[it] * r1 * w1)[:, None] * (_psi_factor(p, t, a_2[it]) * r2 * w2)[None, :] * ker12
+        )
+        phi_term = 0j
+        for l, r in _phi_pairs(p, t, a_1[it], a_2[it]):
+            q = ((l * r1 * w1) @ k1) * ((r * r2 * w2) @ k2)
+            phi_term += np.sum(q * -a_u[it] * w0)
+        total += wt[it] * (psi_term + phi_term)
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("arg", [1.1, -1.5])
+@pytest.mark.parametrize("t_nodes", [2, 5, 11, 20])
+def test_reconstruct_contraction_matches_node_loop(p, arg, t_nodes, monkeypatch):
+    pr = params(p, 0.05 * cmath.exp(1j * arg), 2)
+    assert pr.is_in_pacman()
+    tri = triple(64) if p < 4 else triple_p4(96)  # 64 nodes fail its winding test
+    want = reconstruct_loop(SPECS[2], pr, tri, t_nodes)
+    # reconstruct_s checks itself against the spectral action, which a few
+    # t-nodes miss by far more than its 1e-5; check it against the loop here
+    monkeypatch.setattr(contour, "action_s", lambda spec, pr: SimpleNamespace(total=want))
+    got = reconstruct_s(SPECS[2], pr, tri, t_nodes=t_nodes)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_reconstruct_rejects_rectangular():
     pr = ModelParams(p=2, lam=0.1, n_l=1, n_r=2, pacman=PAC)
     with pytest.raises(ValueError):
@@ -425,6 +477,71 @@ def test_bound_pass_tails_pinned():
     assert tuple(totals) == pytest.approx(want, rel=1e-12)
     want = (25.134658230009137, 2.1439773507497666, 0.6917016009994)
     assert tuple(tails) == pytest.approx(want, rel=1e-12)
+
+
+def bound_pass_psi_loop(pr, tri, t_nodes, n_ray, y_max):
+    """(totals, tails) of I2 and I3 summed one t-node at a time over an
+    (n1, n2) |psi| array per node: the reference for _bound_pass's
+    bilinear forms."""
+    p, lam = pr.p, complex(pr.lam)
+    v1, w1, tail_1 = _infinite_nodes(tri.gamma1, n_ray, y_max)
+    v2, w2, tail_2 = _infinite_nodes(tri.gamma2, n_ray, y_max)
+    vec1a, vec1b = w1 * (1.0 + np.abs(v1)) ** -1.5, w1 * (1.0 + np.abs(v1)) ** -1.0
+    vec2a, vec2b = w2 * (1.0 + np.abs(v2)) ** -1.5, w2 * (1.0 + np.abs(v2)) ** -1.0
+    x, wq = _gauss_legendre(t_nodes)
+    tau = 0.5 * (x + 1.0)
+    wt = 0.5 * wq * abs(lam)
+    inv12 = 1.0 / np.abs(v1[:, None] - v2[None, :])
+    ev = evaluator(p)
+    totals, tails = np.zeros(2), np.zeros(2)
+    for it in range(t_nodes):
+        t = lam * tau[it]
+        a1 = v1 * ev.tp_eval_many(-t * v1 ** (p - 1))
+        a2 = v2 * ev.tp_eval_many(-t * v2 ** (p - 1))
+        psi_abs = 2.0 * inv12 * np.abs(a1)[:, None] * np.abs(_psi_factor(p, t, a2))[None, :]
+        for j, (l, r) in enumerate(((vec1a, vec2b), (vec1b, vec2a))):
+            totals[j] += wt[it] * (l @ psi_abs @ r)
+            tails[j] += wt[it] * ((l * tail_1) @ psi_abs @ r + l @ psi_abs @ (r * tail_2))
+    return totals, tails
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("arg", [1.1, -1.5])
+@pytest.mark.parametrize("t_nodes", [2, 5, 11, 20])
+def test_bound_pass_psi_forms_match_node_loop(p, arg, t_nodes):
+    pr = params(p, 0.05 * cmath.exp(1j * arg), 1)
+    assert pr.is_in_pacman()
+    tri = triple_inf(64) if p < 4 else triple_p4(64, finite=False)
+    totals, tails = _bound_pass(pr, tri, t_nodes, 40, 20.0)
+    want_totals, want_tails = bound_pass_psi_loop(pr, tri, t_nodes, 40, 20.0)
+    assert np.all(np.abs(totals[1:] - want_totals) <= 1e-13 * want_totals)
+    assert np.all(np.abs(tails[1:] - want_tails) <= 1e-13 * want_tails)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("t_nodes", 0),
+        ("t_nodes", -3),
+        ("ray_nodes", 0),
+        ("ray_nodes", -1),
+        ("y_max", 0.0),
+        ("y_max", -5.0),
+        ("y_max", math.inf),
+        ("y_max", math.nan),
+    ],
+)
+def test_bounds_reject_bad_quadrature_sizes(name, value):
+    pr = params(2, 0.05 * cmath.exp(1.2j), 1)
+    match = "y_max" if name == "y_max" else "at least one node"
+    with pytest.raises(ValueError, match=match):
+        bound_integrals(pr, triple_inf(), **{name: value})
+
+
+@pytest.mark.parametrize("t_nodes", [0, -2])
+def test_reconstruct_rejects_bad_t_nodes(t_nodes):
+    with pytest.raises(ValueError, match="at least one node"):
+        reconstruct_s(SPECS[1], params(2, 0.1, 1), triple(64), t_nodes=t_nodes)
 
 
 def test_quadratures_need_no_leggauss(monkeypatch):

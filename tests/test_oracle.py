@@ -267,6 +267,34 @@ def test_quadrature_table_is_the_homotopy_table(p, n):
     assert np.array_equal(got, homotopy_pair_log_table(pr, s))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_n1_quadrature_logs_are_the_homotopy_diagonal(p):
+    """At N = 1 the quadrature takes one node per spectrum.  Risky nodes keep
+    the homotopy's bits, and the others take principal logs next to them."""
+    lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+    pr = ModelParams(p=p, lam=lam, n_l=1, n_r=1)
+    s = oracle._log_measure(1, oracle.DEFAULT_NODES[1], oracle._s_max(pr))[0]
+    got = lvr_action._action_logs(s[:, None], pr)[0][:, 0, 0]
+    want = np.diag(homotopy_pair_log_table(pr, s))
+    a = evaluator(p).a_eval_many(lam, s.astype(complex))
+    risky = abs(lam) * np.abs(lvr_action._pair_sum(a, a, p)) >= 0.99
+    assert 0 < np.sum(risky) < s.size
+    assert np.array_equal(got[risky], want[risky])
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_n1_quadrature_is_the_pair_table_diagonal_at_real_coupling(p):
+    pr = ModelParams(p=p, lam=0.05, n_l=1, n_r=1)
+    n_nodes = oracle.DEFAULT_NODES[1]
+    s, _, log_den = oracle._log_measure(1, n_nodes, oracle._s_max(pr))
+    log_table = lvr_action._action_logs(s[None], pr)[0][0]
+    shift = np.max(log_den)
+    num = np.exp(log_den.astype(complex) - np.diag(log_table) - shift).sum()
+    want = complex(num / np.exp(log_den - shift).sum())
+    assert oracle._quadrature_ratio(pr, "lvr", n_nodes) == want
+
+
 def test_fd_series_extraction():
     c1, c2 = z_series_fd(2)
     assert abs(c1 + 2.0) <= 1e-3 * 2.0
