@@ -195,7 +195,10 @@ def make_keyhole(r: float, R: float, psi: float, nodes_per_piece: int = 64) -> K
     probe = 0.5 * (r + R)
     w = winding_number(contour, probe)
     if abs(w - 1.0) > 1e-10:
-        raise BadGeometry(f"winding self-test failed: got {w} at s={probe}")
+        raise BadGeometry(
+            f"winding self-test found the quadrature too coarse: winding {w} at "
+            f"s={probe}; raise nodes_per_piece (now {nodes_per_piece})"
+        )
     return contour
 
 

@@ -393,24 +393,30 @@ class FcEvaluator:
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"z at index {i} is not finite: {zs[i]}")
-        if not (zs.dtype == np.float64 and np.all(zs < 0.5 * self.cut_start)):
+        real = zs.dtype == np.float64 and bool(np.all(zs < 0.5 * self.cut_start))
+        if not real:
             zs = np.asarray(zs, dtype=complex)
         if zs.size == 0:
             return np.zeros(0, dtype=zs.dtype)
-        at_bp = self._check_cut(zs)
         out = np.empty_like(zs)
-        if np.any(at_bp):
-            # at z = R_p the two colliding branches meet at T = p/(p-1)
-            out[at_bp] = self.p / (self.p - 1)
-        series = (~at_bp) & (np.abs(zs) < 0.5 * self.cut_start)
+        series = np.abs(zs) < 0.5 * self.cut_start
+        if real:
+            # no cut and no branch point below R_p/2: a real point outside
+            # the series disk lies on the negative axis
+            neg = ~series
+        else:
+            at_bp = self._check_cut(zs)
+            if np.any(at_bp):
+                # at z = R_p the two colliding branches meet at T = p/(p-1)
+                out[at_bp] = self.p / (self.p - 1)
+            neg = (~series) & (zs.imag == 0) & (zs.real < 0)
+            rest = ~(at_bp | series | neg)
+            if np.any(rest):
+                out[rest] = self._continue_rays(zs[rest])
         if np.any(series):
             out[series] = self._series_eval(zs[series])
-        neg = (~at_bp) & (~series) & (zs.imag == 0) & (zs.real < 0)
         if np.any(neg):
             out[neg] = self._newton_negative_axis(zs[neg].real)
-        rest = ~(at_bp | series | neg)
-        if np.any(rest):
-            out[rest] = self._continue_rays(zs[rest])
         res = np.abs(zs * out**self.p - out + 1)
         if np.max(res) > self.tol_residual:
             i = int(np.argmax(res))

@@ -16,9 +16,15 @@ Both routes take the logs of the loop vertex action from
 lvr_action._action_logs: the quadrature as one table over node pairs (at
 N = 1, one node per spectrum), the Monte Carlo samples through action_s_many.
 
-_mc_mean is the one Monte Carlo driver of the package: the oracle (RNG key
-(seed,)) and the LVE vertex and one-edge tree amplitudes (keys (seed, 0)
-and (seed, 1)) each pass it a kernel.
+_mc_mean is the one Monte Carlo driver of the package.  The oracle (RNG key
+(seed,)), the LVE vertex amplitude (key (seed, 2)), the pilot stream that
+fits the vertex amplitude's control-variate coefficients (key (seed, 3)) and
+the one-edge tree amplitude (key (seed, 1)) each pass it a kernel.  Every
+key but the oracle's ends in a non-zero word: NumPy's SeedSequence drops
+trailing zero words, so (seed, 0) would draw the oracle's stream again.
+The vertex amplitude subtracts its order-lam and order-lam^2 vertices,
+whose Gaussian means are exact, with coefficients fixed by the pilot; its
+estimate stays unbiased and row 0's error is its standard error.
 
 The oracle restricts itself to Re(lam) >= 0: beyond that the original
 integrand is not absolutely integrable on the real spectrum and the
@@ -175,11 +181,14 @@ def _quadrature_z(params: ModelParams, mode: str, n_nodes: int | None) -> ZResul
     return ZResult(value, "eigen_quadrature", err, n_nodes**params.n_l)
 
 
+def _spectra(m: np.ndarray) -> np.ndarray:
+    """Spectra of X = M M^dag for a (batch, N_l, N_r) matrix array, clipped at 0."""
+    return np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
+
+
 def _s_of_matrices(params: ModelParams, m: np.ndarray) -> np.ndarray:
-    """S per sample for a (batch, N_l, N_r) matrix array: the spectrum of
-    X = M M^dag, clipped at 0, through action_s_many."""
-    x = m @ m.conj().transpose(0, 2, 1)
-    s_mat, s_vec = action_s_many(np.clip(np.linalg.eigvalsh(x), 0.0, None), params)
+    """S per sample for a (batch, N_l, N_r) matrix array, through action_s_many."""
+    s_mat, s_vec = action_s_many(_spectra(m), params)
     return s_mat + s_vec
 
 

@@ -139,6 +139,15 @@ def test_make_keyhole_rejects_bad_parameters():
         make_keyhole(0.1, 5.0, 0.3, nodes_per_piece=2)
 
 
+def test_make_keyhole_names_too_few_nodes_for_a_narrow_opening():
+    # the winding probe at (r + R)/2 sits 0.21 from both 3.45-long rays,
+    # which 64 nodes per piece do not resolve; 96 do
+    with pytest.raises(BadGeometry, match="too coarse.*nodes_per_piece"):
+        make_keyhole(0.05, 3.5, 0.12)
+    g = make_keyhole(0.05, 3.5, 0.12, nodes_per_piece=96)
+    assert abs(winding_number(g, 1.775) - 1.0) <= 1e-10
+
+
 def test_triple_requires_outermost_u_contour():
     g1 = make_keyhole(0.10, 4.0, 0.27, 64)
     g2 = make_keyhole(0.05, 3.5, 0.18, 64)

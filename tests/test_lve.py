@@ -14,7 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import i1e
 
-from lvr_lab import lve
+from lvr_lab import lve, oracle
 from lvr_lab.errors import DegenerateSpectrum, SizeBound
 from lvr_lab.lve import (
     AmplitudeEstimate,
@@ -37,7 +37,7 @@ from lvr_lab.lve import (
     _grads_batch,
     _w_rule,
 )
-from lvr_lab.oracle import MC_CHUNK, McConfig, free_energy
+from lvr_lab.oracle import MC_CHUNK, McConfig, _s_of_matrices, _spectra, free_energy
 from lvr_lab.lvr_action import ModelParams, grad_spectral_many
 
 
@@ -447,6 +447,30 @@ def test_amplitude_trivial_matches_quadrature():
     assert est.std_error > 0
     assert abs(est.value.real - ref) < 3 * est.std_error
     assert abs(est.value.imag) < 3 * est.std_error
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.05 * np.exp(0.25j * np.pi)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_controlled_vertex_amplitude_matches_plain_estimate(p, n, lam):
+    pr = params_sq(p, lam, n)
+    cfg = McConfig(n_samples=8192, seed=21, n_workers=2)
+    est = amplitude_trivial(pr, cfg)
+    # the plain estimator, the mean of S, on an independent stream
+    mean, err = oracle._mc_mean(lambda m: _s_of_matrices(pr, m), (21, 9), cfg, (n, n))
+    plain, plain_err = complex(mean[0]) / n**2, err / n**2
+    assert abs(est.value - plain) <= 4 * math.hypot(est.std_error, plain_err)
+    assert est.std_error <= plain_err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_vertex_control_rows_have_exact_means(p, n):
+    controls = lve._vertex_controls(params_sq(p, 0.05, n))
+    raw = np.random.Generator(np.random.Philox((21, 11))).standard_normal((200_000, n, n, 2))
+    rows = controls(_spectra((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)))
+    sigma = rows.std(axis=1) / math.sqrt(rows.shape[1])
+    assert np.all(np.abs(rows.mean(axis=1)) <= 4 * sigma)
 
 
 def test_amplitude_trivial_shrinks_with_coupling():

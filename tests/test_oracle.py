@@ -365,8 +365,8 @@ PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
     (3, "original", 3): 0.2828781757791873 - 0.19185438974872823j,
 }
 PINNED_AMPLITUDES = {  # n_workers: (vertex, tree 2) at p = 2, N = 2, lam = 0.05
-    1: (-0.08578249689277491 + 0j, 0.002837961380411822 + 3.0083772395672647e-06j),
-    3: (-0.08592548398423609 + 0j, 0.0028450973189093993 - 2.842524286830504e-06j),
+    1: (-0.08602609642889038 + 0j, 0.002837961380411822 + 3.0083772395672647e-06j),
+    3: (-0.0860331018552567 + 0j, 0.0028450973189093993 - 2.842524286830504e-06j),
 }
 
 
@@ -381,6 +381,24 @@ def test_monte_carlo_means_are_pinned(n_workers):
     vertex, tree2 = PINNED_AMPLITUDES[n_workers]
     assert amplitude_trivial(pr, cfg).value == vertex
     assert amplitude_tree2(pr, cfg).value == tree2
+
+
+def test_monte_carlo_streams_are_distinct():
+    # SeedSequence drops trailing zero words, so a key (seed, 0) would draw
+    # the oracle's stream (seed,) again
+    pr = ModelParams(p=2, lam=0.05, n_l=2, n_r=2)
+    cfg = McConfig(n_samples=4, seed=1234)
+    spy = mock.Mock(wraps=oracle._mc_mean)
+    with mock.patch.object(oracle, "_mc_mean", spy), mock.patch("lvr_lab.lve._mc_mean", spy):
+        z_lvr(pr, cfg)
+        amplitude_trivial(pr, cfg)
+        amplitude_tree2(pr, cfg)
+    keys = [c.args[1] for c in spy.call_args_list]
+    first = [np.random.Generator(np.random.Philox(k)).standard_normal(4) for k in keys]
+    for i in range(len(keys)):
+        for j in range(i):
+            assert not np.array_equal(first[i], first[j]), (keys[i], keys[j])
+    assert len(keys) == 4  # oracle, pilot, vertex, tree 2
 
 
 @settings(max_examples=60, deadline=None)
