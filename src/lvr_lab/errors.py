@@ -28,11 +28,8 @@ class QuadratureFailure(LvrLabError):
 
 
 class LogBranchAmbiguity(LvrLabError):
-    """Principal-branch logarithm would be crossed along the coupling homotopy."""
-
-
-class HomotopyTooCoarse(LogBranchAmbiguity):
-    """A phase step along the homotopy exceeds pi/2, so the branch cannot be tracked."""
+    """A log argument of the action left the half-plane Re w > 0, where the
+    principal log is the branch continued from zero coupling."""
 
 
 class DegenerateSpectrum(LvrLabError):

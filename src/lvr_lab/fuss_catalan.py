@@ -34,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import BranchPoint, ContinuationFailure, CutProximity, QuadratureFailure
@@ -568,6 +567,8 @@ def moment_cross_check(n: int) -> float:
     numbers near n = 20 are ~1e10 while the contract asks for an absolute
     residual of 1e-8, far below double-precision roundoff at that scale.
     """
+    import mpmath  # imported on use: loading it would slow every import of the package
+
     if not (isinstance(n, int) and 0 <= n <= 20):
         raise ValueError("n must be an integer in [0, 20]")
     expected = fc_number(2, n)

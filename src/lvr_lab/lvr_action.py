@@ -8,12 +8,11 @@ spectrum s_1..s_{N_l} of X = M M^dag.  The action splits into
 
 with a_i = a(lambda, s_i).  Each log takes the branch that continuity
 along t |-> t*lambda from t = 0 fixes, and _action_logs is the one place
-that takes them.  Principal logs are that branch on every spectrum with
-|lambda| max |P_ij| < 0.99, and for real lambda >= 0; the other spectra
-run one batched homotopy with a winding guard, where a vanishing argument
-or a crossing of the negative real axis is an error, never silently
-unwound into the answer.  action_s_many sums the logs over a (k, n_l)
-array of spectra, and action_s is its k = 1 case.
+that takes them.  Every argument keeps a positive real part for all t in
+[0, 1], so that branch is the principal one on the whole pacman domain;
+an argument with Re w <= 0 at t = 1 raises LogBranchAmbiguity instead of
+taking a log whose branch nothing vouches for.  action_s_many sums the
+logs over a (k, n_l) array of spectra, and action_s is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 from .errors import (
     BranchPoint,
     DegenerateSpectrum,
-    HomotopyTooCoarse,
     LogBranchAmbiguity,
     LvrLabError,
     SingularMatrix,
@@ -48,9 +46,6 @@ __all__ = [
     "resolvent_derivative_check",
     "selective_integration_check",
 ]
-
-HOMOTOPY_CHUNK = 64  # risky spectra per batched homotopy; larger ones gain no time, cost memory
-
 
 @lru_cache(maxsize=None)
 def evaluator(p: int) -> FcEvaluator:
@@ -190,27 +185,6 @@ def _a_checked(s: np.ndarray, params: ModelParams) -> np.ndarray:
     return a
 
 
-def _log_homotopy_batch(w_path: np.ndarray, min_modulus: float = 1e-12) -> tuple:
-    """Log of w(t=1) per batch row (axis 1), phase tracked along the homotopy
-    on axis 0 from w(t=0)=1.  Also returns the (k,) mask of rows too coarse
-    to track (a phase step > pi/2; their logs are NaN).  If a modulus collapses
-    or a tracked row winds past the negative real axis, the branch is
-    ambiguous and we refuse to pick one."""
-    n_t, k = w_path.shape[:2]
-    modulus = np.abs(w_path)
-    if np.min(modulus) < min_modulus:
-        raise LogBranchAmbiguity("log argument vanished along the homotopy")
-    theta = np.unwrap(np.angle(w_path), axis=0)
-    theta = theta - theta[0]  # path starts at w=1, arg 0
-    step = np.abs(np.diff(theta, axis=0)).reshape(n_t - 1, k, -1).max(axis=(0, 2))
-    coarse = step > 0.5 * np.pi
-    if np.any(np.abs(theta).reshape(n_t, k, -1).max(axis=(0, 2))[~coarse] >= np.pi - 1e-9):
-        raise LogBranchAmbiguity("log argument crossed the negative real axis")
-    log = np.log(modulus[-1]) + 1j * theta[-1]
-    log[coarse] = np.nan
-    return log, coarse
-
-
 def _pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     """sum_{k=0}^{p-1} a_i^k * a_j^(p-1-k), broadcast over leading axes."""
     out = np.zeros(np.broadcast_shapes(a_i.shape, a_j.shape), dtype=np.result_type(a_i, a_j))
@@ -233,60 +207,30 @@ def _psi_factor(p: int, t: complex, a: np.ndarray) -> np.ndarray:
     return a ** (p - 1) + t * (p - 1) * a ** (p - 2) * _a_dt(p, t, a)
 
 
-def _homotopy_logs(s_batch: np.ndarray, params: ModelParams) -> tuple:
-    """Logs of 1 + lam P_ij, shape (k, n, n), and of 1 + lam a_i^(p-1), shape
-    (k, n), for (k, n) spectra, each continued along t -> t lam from t = 0.
-
-    One tp_eval_many call covers the (n_t, k, n) homotopy grid, first at 48
-    nodes.  Only rows whose matrix or vector path is too coarse are redone at
-    doubled n_t, up to 1536 nodes; a vanishing or crossing log in any row
-    raises.  The t = 1 slice does not depend on n_t, so neither does a log."""
-    p, lam = params.p, params.lam
-    log_mat = np.empty(s_batch.shape + s_batch.shape[1:], dtype=complex)
-    log_vec = np.empty(s_batch.shape, dtype=complex)
-    rows, n_t = np.arange(len(s_batch)), 48
-    while rows.size:
-        ts = np.linspace(0.0, 1.0, n_t)
-        s = s_batch[rows].astype(complex)
-        z = -(ts[:, None, None] * lam) * s[None] ** (p - 1)
-        a = s[None] * evaluator(p).tp_eval_many(z.ravel()).reshape(z.shape)
-        tl = (ts * lam)[:, None, None]
-        w_mat = 1 + tl[..., None] * _pair_sum(a[..., :, None], a[..., None, :], p)
-        mat, coarse_mat = _log_homotopy_batch(w_mat)
-        vec, coarse_vec = _log_homotopy_batch(1 + tl * a ** (p - 1))
-        ok = ~(coarse_mat | coarse_vec)
-        log_mat[rows[ok]], log_vec[rows[ok]] = mat[ok], vec[ok]
-        rows = rows[~ok]
-        if rows.size and n_t >= 1536:
-            raise HomotopyTooCoarse(f"homotopy too coarse to track the log branch at n_t={n_t}")
-        n_t *= 2
-    return log_mat, log_vec
-
-
 def _action_logs(s_batch: np.ndarray, params: ModelParams) -> tuple:
     """Logs of 1 + lam P_ij, shape (k, n, n), and of 1 + lam a_i^(p-1), shape
     (k, n), for (k, n) spectra, on the branch continued from lam = 0.
 
-    Every row gets principal logs.  They are that branch unless the row is
-    risky, |lam| max |P_ij| >= 0.99.  |t lam P_ij| is at most
-    max(|t lam P_ii|, |t lam P_jj|), and |t lam P_ii| = p |1/T_p(z_i) - 1|
-    with z_i = -t lam s_i^(p-1) grows with t, since Re T_p < p/(p-1) on the
-    cut plane.  So on any other row every argument stays in |w - 1| < 0.99
-    for all t in [0, 1].  For real lam >= 0 every argument is real and >= 1.
-    Otherwise the risky rows are replaced by _homotopy_logs, HOMOTOPY_CHUNK
-    rows at a time."""
+    That branch is the principal one.  Along t -> t lam, s = a + t lam a^p
+    gives w_ij = 1 + t lam P_ij = (s_i - s_j)/(a_i - a_j), so 1/w_ij is the
+    mean of a'(s) over [s_j, s_i], and 1/w_ii = a'(s_i).  With
+    T = T_p(-t lam s^(p-1)), a'(s) = 1/(p/T - (p-1)) and
+    1 + t lam a^(p-1) = 1/T.  Where Re(1/T_p) > (p-1)/p, as it is on the
+    cut plane (exactly at p = 2, where 1/T = (1 + sqrt(1 - 4z))/2, and by a
+    property test for p = 2..8), every argument has Re w > 0 for all t in
+    [0, 1], never meets the negative axis, and keeps its principal log.
+    An argument with Re w <= 0 at t = 1 raises LogBranchAmbiguity."""
     p, lam = params.p, params.lam
     a = evaluator(p).a_eval_many(lam, s_batch.ravel().astype(complex)).reshape(s_batch.shape)
-    pair = _pair_sum(a[:, :, None], a[:, None, :], p)
-    log_mat = np.log(1 + lam * pair)
-    log_vec = np.log(1 + lam * a ** (p - 1))
-    if np.imag(lam) == 0 and np.real(lam) >= 0:
-        return log_mat, log_vec
-    risky = np.nonzero(np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99)[0]
-    for lo in range(0, risky.size, HOMOTOPY_CHUNK):
-        rows = risky[lo : lo + HOMOTOPY_CHUNK]
-        log_mat[rows], log_vec[rows] = _homotopy_logs(s_batch[rows], params)
-    return log_mat, log_vec
+    w_mat = 1 + lam * _pair_sum(a[:, :, None], a[:, None, :], p)
+    w_vec = 1 + lam * a ** (p - 1)
+    re_min = min(np.min(w_mat.real), np.min(w_vec.real))
+    if re_min <= 0:
+        raise LogBranchAmbiguity(
+            f"log argument with Re w = {re_min:.3g} <= 0: its principal log "
+            "may not be the branch continued from lam = 0"
+        )
+    return np.log(w_mat), np.log(w_vec)
 
 
 def action_s_many(s_batch, params: ModelParams) -> tuple:

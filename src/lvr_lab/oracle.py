@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
@@ -349,6 +348,8 @@ def z_series_fd(p: int, order: int = 2, h: float | None = None, n_points: int = 
     defaults are tuned for p = 2, 3.  High-precision quadrature avoids
     drowning the fit in roundoff.
     """
+    import mpmath  # imported on use: loading it would slow every import of the package
+
     if h is None:
         h = {2: 1e-3, 3: 2e-4}.get(p, 1e-4)
     if order >= n_points:

@@ -184,3 +184,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.0"
+
+
+def test_cli_import_loads_neither_mpmath_nor_scipy():
+    # mpmath is imported by the two checks that use it; scipy only by tests
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import lvr_lab.cli, sys; "
+            "print(sorted(m for m in ('mpmath', 'scipy') if m in sys.modules))",
+        ],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

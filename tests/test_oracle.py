@@ -15,7 +15,7 @@ from scipy import integrate
 from lvr_lab import lvr_action, oracle
 from lvr_lab.errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
 from lvr_lab.lve import amplitude_tree2, amplitude_trivial
-from lvr_lab.lvr_action import HOMOTOPY_CHUNK, ModelParams, Spectrum, action_s, evaluator
+from lvr_lab.lvr_action import ModelParams, evaluator
 from lvr_lab.oracle import (
     MC_CHUNK,
     McConfig,
@@ -201,8 +201,8 @@ def test_jacobian_complex_factor_raises(monkeypatch):
         )
 
 
-def per_sample_principal_log_action(params, s_batch):
-    """The per-sample fallback loop the batched homotopy replaced."""
+def principal_log_action(params, s_batch):
+    """S per spectrum, written out: minus the sums of the principal logs."""
     p, lam = params.p, params.lam
     a = evaluator(p).a_eval_many(lam, s_batch.ravel().astype(complex)).reshape(s_batch.shape)
     pair = np.zeros(s_batch.shape + (s_batch.shape[1],), dtype=complex)
@@ -211,75 +211,39 @@ def per_sample_principal_log_action(params, s_batch):
     s_mat = -np.sum(np.log(1 + lam * pair), axis=(1, 2))
     vec = 1 + lam * a ** (p - 1)
     s_vec = -(params.n_r - params.n_l) * np.sum(np.log(vec), axis=1)
-    s_val = s_mat + s_vec
-    risky = np.abs(lam) * np.max(np.abs(pair), axis=(1, 2)) >= 0.99
-    for i in np.nonzero(risky)[0]:
-        s_val[i] = action_s(Spectrum(tuple(np.sort(s_batch[i]))), params).total
-    return s_val, risky
+    return s_mat + s_vec
 
 
-def test_batched_fallback_matches_per_sample_loop(monkeypatch):
+def test_batched_action_is_the_principal_formula():
     pr = ModelParams(p=3, lam=0.05 * np.exp(1j * np.pi / 4), n_l=3, n_r=3)
     rng = np.random.Generator(np.random.Philox(1234))
     raw = rng.standard_normal((MC_CHUNK, 3, 3, 2))
     m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(6)
     s_batch = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
-    want, risky = per_sample_principal_log_action(pr, s_batch)
-    sizes = []
-    kernel = lvr_action._homotopy_logs
-
-    def recording(s, params):
-        sizes.append(len(s))
-        return kernel(s, params)
-
-    monkeypatch.setattr(lvr_action, "_homotopy_logs", recording)
-    got = _s_of_matrices(pr, m)
-    assert sum(sizes) == np.count_nonzero(risky) > HOMOTOPY_CHUNK
-    assert max(sizes) == HOMOTOPY_CHUNK
-    assert np.array_equal(got, want)
-
-
-def homotopy_pair_log_table(params, nodes):
-    """The oracle's own table that _action_logs replaced: log[1 + lam * pair
-    sum] over all node pairs, each on one 48-node homotopy."""
-    p, lam = params.p, params.lam
-    ts = np.linspace(0.0, 1.0, 48)
-    z = -(ts[:, None] * lam) * nodes[None, :].astype(complex) ** (p - 1)
-    a = nodes[None, :] * evaluator(p).tp_eval_many(z.ravel()).reshape(z.shape)
-    pair = np.zeros((48, nodes.size, nodes.size), dtype=complex)
-    for k in range(p):
-        pair += a[:, :, None] ** k * a[:, None, :] ** (p - 1 - k)
-    w = 1 + (ts * lam)[:, None, None] * pair
-    log, coarse = lvr_action._log_homotopy_batch(w[:, None])
-    assert not coarse[0]
-    return log[0]
+    assert np.array_equal(_s_of_matrices(pr, m), principal_log_action(pr, s_batch))
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_quadrature_table_is_the_homotopy_table(p, n):
-    """At the suite's complex coupling the one row of nodes is risky, so the
-    quadrature's table keeps the homotopy's bits."""
+def test_quadrature_table_is_the_homotopy_table(homotopy_logs, p, n):
+    """At the suite's complex coupling the quadrature's table of principal
+    logs over all node pairs is the homotopy's table to 1e-15 absolute."""
     lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n)
     s = oracle._log_measure(n, oracle.DEFAULT_NODES[n], oracle._s_max(pr))[0]
     got = lvr_action._action_logs(s[None], pr)[0][0]
-    assert np.array_equal(got, homotopy_pair_log_table(pr, s))
+    assert np.max(np.abs(got - homotopy_logs(s[None], pr)[0][0])) <= 1e-15
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_n1_quadrature_logs_are_the_homotopy_diagonal(p):
-    """At N = 1 the quadrature takes one node per spectrum.  Risky nodes keep
-    the homotopy's bits, and the others take principal logs next to them."""
+def test_n1_quadrature_logs_are_the_homotopy_diagonal(homotopy_logs, p):
+    """At N = 1 the quadrature takes one node per spectrum; each node's
+    principal log is its own homotopy's to 1e-15 absolute."""
     lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     pr = ModelParams(p=p, lam=lam, n_l=1, n_r=1)
     s = oracle._log_measure(1, oracle.DEFAULT_NODES[1], oracle._s_max(pr))[0]
     got = lvr_action._action_logs(s[:, None], pr)[0][:, 0, 0]
-    want = np.diag(homotopy_pair_log_table(pr, s))
-    a = evaluator(p).a_eval_many(lam, s.astype(complex))
-    risky = abs(lam) * np.abs(lvr_action._pair_sum(a, a, p)) >= 0.99
-    assert 0 < np.sum(risky) < s.size
-    assert np.array_equal(got[risky], want[risky])
+    want = homotopy_logs(s[:, None], pr)[0][:, 0, 0]
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
