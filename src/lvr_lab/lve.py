@@ -20,9 +20,15 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import DegenerateSpectrum, SizeBound
-from .lvr_action import ModelParams, action_s_many, grad_spectral_many
-from .oracle import McConfig, _mc_mean, _s_of_matrices, _spectra
-from .perturbation import closed_form_s1, closed_form_s2, moment
+from .lvr_action import ModelParams, grad_spectral_many
+from .oracle import (
+    McConfig,
+    _controlled_mean,
+    _mc_mean,
+    _s_of_matrices,
+    _vertex_controls,
+    _vertex_rows,
+)
 
 __all__ = [
     "Forest",
@@ -48,10 +54,6 @@ __all__ = [
 MAX_N = 6
 MAX_R = 5
 MAX_ENUM = 1_000_000
-# draws of the pilot stream that fits the vertex amplitude's two control
-# coefficients; fitting them on n independent draws raises the residual
-# variance by about 2/n, 0.05% at 4096
-PILOT_SAMPLES = 4096
 
 RESOLVENT = "resolvent"
 M_RESOLVENT = "m_resolvent"
@@ -637,78 +639,24 @@ def _amplitude_gate(params: ModelParams) -> None:
         raise ValueError("lam outside the pacman domain")
 
 
-def _vertex_controls(params: ModelParams):
-    """The order-lam and order-lam^2 vertices S1 and S2 of the action as a
-    map from (k, N) spectra to their (2, k) values less their exact Gaussian
-    means, perturbation.moment at entry variance 1/N.  Each vertex is a trace
-    polynomial, evaluated on the power sums Tr X^q = sum_i s_i^q."""
-    n, p = params.n_l, params.p
-    vertices = []
-    for tp in (closed_form_s1(p), closed_form_s2(p)):
-        terms = [(float(c.evaluate(n, n) * n**mono.tr0), mono.powers) for mono, c in tp.items()]
-        vertices.append((terms, float(moment(tp, square=True).evaluate(n, n))))
-
-    def rows(s: np.ndarray) -> np.ndarray:
-        # traces[q - 1] = Tr X^q for q = 1 .. 2p - 2, the highest vertex degree
-        traces = np.cumprod(np.broadcast_to(s, (2 * p - 2, *s.shape)), axis=0).sum(axis=2)
-        return np.stack([
-            sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
-            for terms, mean in vertices
-        ])
-
-    return rows
-
-
-def _vertex_rows(params: ModelParams, controls, m: np.ndarray) -> tuple:
-    """S and the two control rows of a chunk of matrices, all from one
-    spectrum per sample."""
-    s = _spectra(m)
-    s_mat, s_vec = action_s_many(s, params)
-    return (s_mat + s_vec, *controls(s))
-
-
-def _control_coefficients(params: ModelParams, seed: int, controls) -> tuple:
-    """Least-squares coefficients (b1, b2) of S on the control rows, fitted
-    on PILOT_SAMPLES draws of key (seed, 3).  The 2x2 normal equations of
-    the sample covariances are solved by Cramer's rule: no BLAS call, whose
-    first use in a process can stall."""
-
-    def kernel(m):
-        y, d1, d2 = _vertex_rows(params, controls, m)
-        return np.stack([d1, d2, y, d1 * d1, d1 * d2, d2 * d2, d1 * y, d2 * y])
-
-    pilot = McConfig(n_samples=PILOT_SAMPLES, seed=seed)
-    n = params.n_l
-    (e1, e2, ey, e11, e12, e22, e1y, e2y), _ = _mc_mean(kernel, (seed, 3), pilot, (n, n))
-    # the rows are centred on their exact means, so these differences of
-    # moments do not cancel
-    c11, c12, c22 = (e11 - e1 * e1).real, (e12 - e1 * e2).real, (e22 - e2 * e2).real
-    r1, r2 = e1y - e1 * ey, e2y - e2 * ey
-    det = c11 * c22 - c12 * c12
-    return (c22 * r1 - c12 * r2) / det, (c11 * r2 - c12 * r1) / det
-
-
 def amplitude_trivial(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
     """Single-vertex amplitude: the Gaussian mean of the action over N^2,
     estimated by seeded Monte Carlo on key (seed, 2).
 
     Each sample contributes S - b1 (S1 - E S1) - b2 (S2 - E S2), where S1
     and S2 are the order-lam and order-lam^2 vertices and their means are
-    exact.  The coefficients come from a separate pilot stream, so the
-    estimate is unbiased and its standard error is the driver's own.
+    exact.  oracle._controlled_mean fits the coefficients on a pilot stream
+    of key (seed, 3), so the estimate is unbiased and its standard error is
+    the driver's own.
     """
     if params.lam == 0:
         return AmplitudeEstimate("empty", 0j, 1e-16, cfg.n_samples, cfg.seed)
     _amplitude_gate(params)
     n = params.n_l
     controls = _vertex_controls(params)
-    b1, b2 = _control_coefficients(params, cfg.seed, controls)
-
-    def kernel(m):
-        y, d1, d2 = _vertex_rows(params, controls, m)
-        return y - b1 * d1 - b2 * d2
-
-    mean, err = _mc_mean(kernel, (cfg.seed, 2), cfg, (n, n))
+    mean, err = _controlled_mean(
+        lambda m: _vertex_rows(params, controls, m), 2, (cfg.seed, 2), (cfg.seed, 3), cfg, (n, n)
+    )
     return AmplitudeEstimate("empty", complex(mean[0]) / n**2, err / n**2, cfg.n_samples, cfg.seed)
 
 

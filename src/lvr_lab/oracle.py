@@ -17,14 +17,21 @@ lvr_action._action_logs: the quadrature as one table over node pairs (at
 N = 1, one node per spectrum), the Monte Carlo samples through action_s_many.
 
 _mc_mean is the one Monte Carlo driver of the package.  The oracle (RNG key
-(seed,)), the LVE vertex amplitude (key (seed, 2)), the pilot stream that
-fits the vertex amplitude's control-variate coefficients (key (seed, 3)) and
-the one-edge tree amplitude (key (seed, 1)) each pass it a kernel.  Every
-key but the oracle's ends in a non-zero word: NumPy's SeedSequence drops
-trailing zero words, so (seed, 0) would draw the oracle's stream again.
-The vertex amplitude subtracts its order-lam and order-lam^2 vertices,
-whose Gaussian means are exact, with coefficients fixed by the pilot; its
-estimate stays unbiased and row 0's error is its standard error.
+(seed,)), the LVE vertex amplitude (key (seed, 2)) and the one-edge tree
+amplitude (key (seed, 1)) each pass it a kernel; so do the pilot streams
+that fit control-variate coefficients, (seed, 3) for the vertex amplitude
+and (seed, 4) for the oracle.  Every key but the oracle's ends in a
+non-zero word: NumPy's SeedSequence drops trailing zero words, so (seed, 0)
+would draw the oracle's stream again.
+
+_controlled_mean is the one control-variate helper.  At square shapes the
+Monte Carlo Z subtracts b1 (S1 - E S1) + b2 (S2 - E S2) from exp(S) and
+b (Tr X^p - E Tr X^p) from exp(-N lam Tr X^p), and the vertex amplitude
+the same S1, S2 terms from S.  S1 and S2 are the action's order-lam and
+order-lam^2 vertices; each mean is exact, perturbation.moment(square=True)
+at entry variance 1/N, computed on first use.  The coefficients are fitted
+on the pilot stream, so each estimate stays unbiased and row 0's error is
+its standard error.  Rectangular shapes keep the plain estimator.
 
 The oracle restricts itself to Re(lam) >= 0: beyond that the original
 integrand is not absolutely integrable on the real spectrum and the
@@ -42,6 +49,7 @@ import numpy as np
 
 from .errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
 from .lvr_action import ModelParams, _action_logs, _pair_sum, action_s_many
+from .perturbation import TraceMonomial, TracePolynomial, closed_form_s1, closed_form_s2, moment
 
 __all__ = [
     "ZResult",
@@ -59,6 +67,10 @@ __all__ = [
 
 DEFAULT_NODES = {1: 384, 2: 128, 3: 72, 4: 40}
 MC_CHUNK = 8192
+# draws of the pilot stream that fits the control-variate coefficients;
+# fitting k of them on n independent draws raises the residual variance by
+# about k/n, 0.05% at k = 2 and 4096
+PILOT_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -124,33 +136,49 @@ def _gauss_legendre(n: int) -> tuple:
     return x, w
 
 
+def _on_grid(values: np.ndarray, n: int, *axes: int) -> np.ndarray:
+    """values broadcast onto the n-fold tensor grid of the quadrature nodes:
+    a 1-d array along axes[0], or a node-pair table whose rows run along
+    axes[0] and columns along axes[1] (its diagonal when the two agree).
+    Each entry is the value of the gather values[k] or values[k, l] at
+    grid point (..., k, ..., l, ...)."""
+    if len(axes) == 2 and axes[0] == axes[1]:
+        values, axes = np.diagonal(values), axes[:1]
+    elif len(axes) == 2 and axes[0] > axes[1]:
+        values, axes = values.T, axes[::-1]
+    shape = [1] * n
+    for axis in axes:
+        shape[axis] = len(values)
+    return values.reshape(shape)
+
+
 def _log_measure(n: int, n_nodes: int, s_max: float) -> tuple:
-    """Gauss-Legendre nodes s on [0, s_max], the index grid of their n-fold
-    tensor product, and the log Wishart measure Delta(s)^2 e^{-N sum s} on it."""
+    """Gauss-Legendre nodes s on [0, s_max] and the log Wishart measure
+    Delta(s)^2 e^{-N sum s} on their n-fold tensor grid."""
     x, w = _gauss_legendre(n_nodes)
     s = 0.5 * s_max * (x + 1.0)
     # log-domain 1-d weights: quadrature weight times e^{-N s}
     log_base = np.log(0.5 * s_max * w) - n * s
-    idx = np.indices((n_nodes,) * n)
     log_den = np.zeros((n_nodes,) * n)
     for i in range(n):
-        log_den = log_den + log_base[idx[i]]
+        log_den = log_den + _on_grid(log_base, n, i)
     # Vandermonde^2 over distinct coordinates of the tensor grid
+    with np.errstate(divide="ignore"):
+        log_vdm = 2.0 * np.log(np.abs(s[:, None] - s[None, :]))
     for i in range(n):
         for j in range(i + 1, n):
-            with np.errstate(divide="ignore"):
-                log_den = log_den + 2.0 * np.log(np.abs(s[idx[i]] - s[idx[j]]))
-    return s, idx, log_den
+            log_den = log_den + _on_grid(log_vdm, n, i, j)
+    return s, log_den
 
 
 def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
     n, p, lam = params.n_l, params.p, params.lam
-    s, idx, log_den = _log_measure(n, n_nodes, _s_max(params))
+    s, log_den = _log_measure(n, n_nodes, _s_max(params))
     log_num = log_den.astype(complex)
     if mode == "original":
         log_re = -(n * lam) * s.astype(complex) ** p
         for i in range(n):
-            log_num = log_num + log_re[idx[i]]
+            log_num = log_num + _on_grid(log_re, n, i)
     elif n == 1:
         # one node per spectrum: the N = 1 action is the pair table's diagonal
         log_num = log_num - _action_logs(s[:, None], params)[0][:, 0, 0]
@@ -158,7 +186,7 @@ def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
         log_table = _action_logs(s[None], params)[0][0]
         for i in range(n):
             for j in range(n):
-                log_num = log_num - log_table[idx[i], idx[j]]
+                log_num = log_num - _on_grid(log_table, n, i, j)
     shift = np.max(log_den)
     den = np.exp(log_den - shift).sum()
     num = np.exp(log_num - shift).sum()
@@ -189,16 +217,6 @@ def _s_of_matrices(params: ModelParams, m: np.ndarray) -> np.ndarray:
     """S per sample for a (batch, N_l, N_r) matrix array, through action_s_many."""
     s_mat, s_vec = action_s_many(_spectra(m), params)
     return s_mat + s_vec
-
-
-def _mc_weights_chunk(params: ModelParams, m: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "lvr":
-        return np.exp(_s_of_matrices(params, m))
-    x = m @ m.conj().transpose(0, 2, 1)
-    xp = x
-    for _ in range(params.p - 1):
-        xp = xp @ x
-    return np.exp(-params.n_r * params.lam * np.trace(xp, axis1=1, axis2=2))
 
 
 def _mc_mean(kernel, key: tuple, cfg: McConfig, shape: tuple) -> tuple:
@@ -233,11 +251,118 @@ def _mc_mean(kernel, key: tuple, cfg: McConfig, shape: tuple) -> tuple:
     return mean, err
 
 
+def _controlled_mean(
+    rows, k: int, key: tuple, pilot_key: tuple, cfg: McConfig, shape: tuple
+) -> tuple:
+    """Monte Carlo mean of y less k = 0, 1 or 2 control variates, with its
+    standard error.
+
+    rows maps a chunk of matrices to (y, f_1, ..., f_k), each control f_i
+    with exact mean zero.  The least-squares coefficients b_i of y on the
+    f_i are fitted on PILOT_SAMPLES draws of pilot_key, whose rows are
+    [f, y, f_i f_j (i <= j), f_i y]; their normal equations are solved by
+    hand (Cramer's rule at k = 2), with no BLAS call, whose first use in a
+    process can stall.  _mc_mean then averages y - sum_i b_i f_i on key.
+    The b_i do not depend on those draws, so the estimate is unbiased and
+    row 0's error is its standard error.  At k = 0 there is no pilot and y
+    is averaged as it is.
+    """
+    coef = ()
+    if k:
+
+        def pilot_kernel(m):
+            y, *f = rows(m)
+            pairs = [f[i] * f[j] for i in range(k) for j in range(i, k)]
+            return np.stack([*f, y, *pairs, *(f_i * y for f_i in f)])
+
+        pilot = McConfig(n_samples=PILOT_SAMPLES, seed=cfg.seed)
+        e = list(_mc_mean(pilot_kernel, pilot_key, pilot, shape)[0])
+        # the controls are centred on their exact means, so these
+        # differences of moments do not cancel
+        if k == 1:
+            e1, ey, e11, e1y = e
+            coef = ((e1y - e1 * ey) / (e11 - e1 * e1).real,)
+        else:
+            e1, e2, ey, e11, e12, e22, e1y, e2y = e
+            c11, c12, c22 = (e11 - e1 * e1).real, (e12 - e1 * e2).real, (e22 - e2 * e2).real
+            r1, r2 = e1y - e1 * ey, e2y - e2 * ey
+            det = c11 * c22 - c12 * c12
+            coef = ((c22 * r1 - c12 * r2) / det, (c11 * r2 - c12 * r1) / det)
+
+    def kernel(m):
+        y, *f = rows(m)
+        for b, f_i in zip(coef, f):
+            y = y - b * f_i
+        return y
+
+    return _mc_mean(kernel, key, cfg, shape)
+
+
+def _vertex_controls(params: ModelParams):
+    """The order-lam and order-lam^2 vertices S1 and S2 of the action as a
+    map from (batch, N) spectra to their (2, batch) values less their exact
+    Gaussian means, perturbation.moment at entry variance 1/N.  Each vertex
+    is a trace polynomial, evaluated on the power sums Tr X^q = sum_i s_i^q."""
+    n, p = params.n_l, params.p
+    vertices = []
+    for tp in (closed_form_s1(p), closed_form_s2(p)):
+        terms = [(float(c.evaluate(n, n) * n**mono.tr0), mono.powers) for mono, c in tp.items()]
+        vertices.append((terms, float(moment(tp, square=True).evaluate(n, n))))
+
+    def rows(s: np.ndarray) -> np.ndarray:
+        # traces[q - 1] = Tr X^q for q = 1 .. 2p - 2, the highest vertex degree
+        traces = np.cumprod(np.broadcast_to(s, (2 * p - 2, *s.shape)), axis=0).sum(axis=2)
+        return np.stack([
+            sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
+            for terms, mean in vertices
+        ])
+
+    return rows
+
+
+def _vertex_rows(params: ModelParams, controls, m: np.ndarray) -> tuple:
+    """S of a chunk of matrices and the rows of controls, all from one
+    spectrum per sample."""
+    s = _spectra(m)
+    s_mat, s_vec = action_s_many(s, params)
+    return (s_mat + s_vec, *controls(s))
+
+
+def _mc_rows(params: ModelParams, mode: str) -> tuple:
+    """The Monte Carlo rows of one representation, as a map from a chunk of
+    matrices to (y, f_1, ..., f_k), and k.  At square shapes the weight
+    exp(S) takes the controls S1 and S2 of _vertex_controls (k = 2) and
+    exp(-N lam Tr X^p) the control Tr X^p (k = 1), each less its exact
+    Gaussian mean; rectangular shapes take none (k = 0)."""
+    n, p = params.n_l, params.p
+    square = n == params.n_r
+    if mode == "lvr":
+        controls = _vertex_controls(params) if square else lambda s: ()
+
+        def rows(m):
+            s_total, *f = _vertex_rows(params, controls, m)
+            return (np.exp(s_total), *f)
+
+        return rows, 2 if square else 0
+    trace_p = TracePolynomial.single(TraceMonomial((p,)))
+    trace_mean = float(moment(trace_p, square=True).evaluate(n, n)) if square else None
+
+    def rows(m):
+        x = m @ m.conj().transpose(0, 2, 1)
+        xp = x
+        for _ in range(p - 1):
+            xp = xp @ x
+        tr = np.trace(xp, axis1=1, axis2=2)
+        y = np.exp(-params.n_r * params.lam * tr)
+        return (y, tr.real - trace_mean) if square else (y,)
+
+    return rows, 1 if square else 0
+
+
 def _mc_z(params: ModelParams, cfg: McConfig, mode: str) -> ZResult:
     _stability_gate(params.lam)
-    mean, err = _mc_mean(
-        lambda m: _mc_weights_chunk(params, m, mode), (cfg.seed,), cfg, (params.n_l, params.n_r)
-    )
+    rows, k = _mc_rows(params, mode)
+    mean, err = _controlled_mean(rows, k, (cfg.seed,), (cfg.seed, 4), cfg, (params.n_l, params.n_r))
     return ZResult(complex(mean[0]), "monte_carlo", err, cfg.n_samples, cfg.seed)
 
 
@@ -334,7 +459,7 @@ def measure_self_test(n: int, n_nodes: int | None = None) -> float:
     if not 1 <= n <= 4:
         raise ValueError("self-test covers 1 <= N <= 4")
     n_nodes = DEFAULT_NODES[n] if n_nodes is None else n_nodes
-    total = float(np.exp(_log_measure(n, n_nodes, 40.0 / n)[2]).sum())
+    total = float(np.exp(_log_measure(n, n_nodes, 40.0 / n)[1]).sum())
     want = float(z0_closed_form(n))
     return abs(total - want) / want
 

@@ -466,9 +466,12 @@ def test_controlled_vertex_amplitude_matches_plain_estimate(p, n, lam):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_vertex_control_rows_have_exact_means(p, n):
-    controls = lve._vertex_controls(params_sq(p, 0.05, n))
+    # the vertex amplitude's and z_lvr's controls S1 and S2, and z_original's Tr X^p
+    pr = params_sq(p, 0.05, n)
     raw = np.random.Generator(np.random.Philox((21, 11))).standard_normal((200_000, n, n, 2))
-    rows = controls(_spectra((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)))
+    m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)
+    trace_row = oracle._mc_rows(pr, "original")[0](m)[1]
+    rows = np.vstack([oracle._vertex_controls(pr)(_spectra(m)), trace_row])
     sigma = rows.std(axis=1) / math.sqrt(rows.shape[1])
     assert np.all(np.abs(rows.mean(axis=1)) <= 4 * sigma)
 

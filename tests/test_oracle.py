@@ -251,12 +251,58 @@ def test_n1_quadrature_logs_are_the_homotopy_diagonal(homotopy_logs, p):
 def test_n1_quadrature_is_the_pair_table_diagonal_at_real_coupling(p):
     pr = ModelParams(p=p, lam=0.05, n_l=1, n_r=1)
     n_nodes = oracle.DEFAULT_NODES[1]
-    s, _, log_den = oracle._log_measure(1, n_nodes, oracle._s_max(pr))
+    s, log_den = oracle._log_measure(1, n_nodes, oracle._s_max(pr))
     log_table = lvr_action._action_logs(s[None], pr)[0][0]
     shift = np.max(log_den)
     num = np.exp(log_den.astype(complex) - np.diag(log_table) - shift).sum()
     want = complex(num / np.exp(log_den - shift).sum())
     assert oracle._quadrature_ratio(pr, "lvr", n_nodes) == want
+
+
+def gather_quadrature(params, mode, n_nodes):
+    """The eigenvalue grid built by np.indices gathers, as the oracle built
+    it before it broadcast its 1-d arrays and node-pair tables: the log
+    measure and the quadrature ratio."""
+    n, lam = params.n_l, params.lam
+    s_max = oracle._s_max(params)
+    x, w = oracle._gauss_legendre(n_nodes)
+    s = 0.5 * s_max * (x + 1.0)
+    log_base = np.log(0.5 * s_max * w) - n * s
+    idx = np.indices((n_nodes,) * n)
+    log_den = np.zeros((n_nodes,) * n)
+    for i in range(n):
+        log_den = log_den + log_base[idx[i]]
+    for i in range(n):
+        for j in range(i + 1, n):
+            with np.errstate(divide="ignore"):
+                log_den = log_den + 2.0 * np.log(np.abs(s[idx[i]] - s[idx[j]]))
+    log_num = log_den.astype(complex)
+    if mode == "original":
+        log_re = -(n * lam) * s.astype(complex) ** params.p
+        for i in range(n):
+            log_num = log_num + log_re[idx[i]]
+    elif n == 1:
+        log_num = log_num - lvr_action._action_logs(s[:, None], params)[0][:, 0, 0]
+    else:
+        log_table = lvr_action._action_logs(s[None], params)[0][0]
+        for i in range(n):
+            for j in range(n):
+                log_num = log_num - log_table[idx[i], idx[j]]
+    shift = np.max(log_den)
+    ratio = np.exp(log_num - shift).sum() / np.exp(log_den - shift).sum()
+    return log_den, complex(ratio)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_broadcast_grid_is_the_gather_grid(n):
+    # the oracle's own node counts, but fewer at N = 4, whose 40^4 index grid
+    # would take 80 MB
+    n_nodes = oracle.DEFAULT_NODES[n] if n < 4 else 24
+    for p, mode in ((2, "original"), (2, "lvr"), (3, "original"), (3, "lvr")):
+        pr = ModelParams(p=p, lam=LAM_C, n_l=n, n_r=n)
+        log_den, ratio = gather_quadrature(pr, mode, n_nodes)
+        assert np.array_equal(oracle._log_measure(n, n_nodes, oracle._s_max(pr))[1], log_den)
+        assert oracle._quadrature_ratio(pr, mode, n_nodes) == ratio
 
 
 def test_fd_series_extraction():
@@ -314,19 +360,27 @@ def test_perturbative_bridge():
 
 # the one Monte Carlo driver
 
-# means of the three Monte Carlo loops that the one driver replaced, at
-# 2 MC_CHUNK + 1 samples and seed 1234, so that the runs cross chunk and
-# uneven-worker boundaries: every draw and every sum must keep its bits
+# means of the one driver at 2 MC_CHUNK + 1 samples and seed 1234, so that
+# the runs cross chunk and uneven-worker boundaries: every draw and every sum
+# must keep its bits.  The square Z means are the controlled estimates, the
+# amplitudes those of the three Monte Carlo loops that the driver replaced.
 LAM_C = 0.05 * np.exp(1j * np.pi / 4)
 PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
-    (1, "lvr", 2): 0.7473916730594112 - 0.161944453245606j,
-    (1, "original", 2): 0.7483653763243433 - 0.162012493826167j,
-    (1, "lvr", 3): 0.28097735886925934 - 0.1900976993880415j,
-    (1, "original", 3): 0.2829243255858082 - 0.19048266102635808j,
-    (3, "lvr", 2): 0.7469619476929735 - 0.16210019430350475j,
-    (3, "original", 2): 0.7473522195979131 - 0.1620253020486501j,
-    (3, "lvr", 3): 0.2814655068215856 - 0.1907600641828098j,
-    (3, "original", 3): 0.2828781757791873 - 0.19185438974872823j,
+    (1, "lvr", 2): 0.7467266920530694 - 0.16210996529322175j,
+    (1, "original", 2): 0.7462743932242413 - 0.16266362308780277j,
+    (1, "lvr", 3): 0.27991386850866284 - 0.19003996172275062j,
+    (1, "original", 3): 0.2837440495932855 - 0.19082247611704237j,
+    (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559458j,
+    (3, "original", 2): 0.7466872768594769 - 0.1622323643029012j,
+    (3, "lvr", 3): 0.27890110351012015 - 0.1901714210806424j,
+    (3, "original", 3): 0.28131454071827267 - 0.19120618768904096j,
+}
+# plain (uncontrolled) means and errors at lam = LAM_C, 2 x 3, three workers
+PINNED_RECTANGULAR = {  # (representation, p): (mean, standard error)
+    ("lvr", 2): (0.6842925039854737 - 0.1957854406347069j, 0.0008985491607109293),
+    ("original", 2): (0.6853043347572315 - 0.1954632241340446j, 0.0018545496564287298),
+    ("lvr", 3): (0.5441942647857837 - 0.18638574787044332j, 0.0017096166113283713),
+    ("original", 3): (0.5451608198872205 - 0.18650410379289956j, 0.002780135190545717),
 }
 PINNED_AMPLITUDES = {  # n_workers: (vertex, tree 2) at p = 2, N = 2, lam = 0.05
     1: (-0.08602609642889038 + 0j, 0.002837961380411822 + 3.0083772395672647e-06j),
@@ -362,7 +416,48 @@ def test_monte_carlo_streams_are_distinct():
     for i in range(len(keys)):
         for j in range(i):
             assert not np.array_equal(first[i], first[j]), (keys[i], keys[j])
-    assert len(keys) == 4  # oracle, pilot, vertex, tree 2
+    assert len(keys) == 5  # oracle pilot, oracle, vertex pilot, vertex, tree 2
+
+
+@pytest.mark.parametrize("mode", ["lvr", "original"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_controlled_z_matches_plain_estimate(p, n, mode):
+    pr = ModelParams(p=p, lam=LAM_C, n_l=n, n_r=n)
+    cfg = McConfig(n_samples=8192, seed=21, n_workers=2)
+    est = (z_lvr if mode == "lvr" else z_original)(pr, cfg)
+    # the plain estimator, the mean of the weights, on an independent stream
+    rows = oracle._mc_rows(pr, mode)[0]
+    mean, plain_err = oracle._mc_mean(lambda m: rows(m)[0], (21, 9), cfg, (n, n))
+    assert abs(est.value - mean[0]) <= 4 * math.hypot(est.error_estimate, plain_err)
+    assert est.error_estimate < plain_err
+
+
+def test_rectangular_monte_carlo_is_the_plain_estimator():
+    """Rectangular shapes take no control and draw no pilot: z_lvr and
+    z_original are the plain means of exp(S) and exp(-N_r lam Tr X^p), bit
+    for bit, and keep the values they had before the square shapes took
+    controls."""
+    cfg = McConfig(n_samples=2 * MC_CHUNK + 1, seed=1234, n_workers=3)
+    for p in (2, 3):
+        pr = ModelParams(p=p, lam=LAM_C, n_l=2, n_r=3)
+
+        def original(m):
+            x = m @ m.conj().transpose(0, 2, 1)
+            xp = x
+            for _ in range(p - 1):
+                xp = xp @ x
+            return np.exp(-3 * pr.lam * np.trace(xp, axis1=1, axis2=2))
+
+        plain = {"lvr": lambda m: np.exp(_s_of_matrices(pr, m)), "original": original}
+        for mode, fn in (("lvr", z_lvr), ("original", z_original)):
+            spy = mock.Mock(wraps=oracle._mc_mean)
+            with mock.patch.object(oracle, "_mc_mean", spy):
+                got = fn(pr, cfg)
+            assert spy.call_count == 1
+            mean, err = oracle._mc_mean(plain[mode], (1234,), cfg, (2, 3))
+            assert (got.value, got.error_estimate) == (complex(mean[0]), err)
+            assert (got.value, got.error_estimate) == PINNED_RECTANGULAR[mode, p]
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,9 +497,11 @@ def test_driver_mean_is_the_ordered_sum_and_error_the_two_pass_variance(
 
 
 def test_non_finite_kernel_raises_through_z_lvr(monkeypatch):
-    def infinite(params, m, mode):
-        return np.full(len(m), np.inf + 0j)
+    def infinite(s, params):
+        return np.full(len(s), np.inf + 0j), np.zeros(len(s))
 
-    monkeypatch.setattr(oracle, "_mc_weights_chunk", infinite)
-    with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure):
-        z_lvr(ModelParams(p=2, lam=0.05, n_l=2, n_r=2), McConfig(n_samples=100, seed=1))
+    monkeypatch.setattr(oracle, "action_s_many", infinite)
+    # the square shape's pilot sees it first, the rectangular shape's one run
+    for n_r in (2, 3):
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure):
+            z_lvr(ModelParams(p=2, lam=0.05, n_l=2, n_r=n_r), McConfig(n_samples=100, seed=1))
