@@ -8,9 +8,14 @@ that is analytic on the complex plane cut along [R_p, +infinity), where
 R_p = (p-1)^(p-1) / p^p is the branch point.  Inside the disk of
 convergence the Taylor coefficients are the Fuss-Catalan numbers
 
-    FC_p(n) = binomial(p*n, n) / ((p-1)*n + 1),
+    FC_p(n) = binomial(p*n, n) / ((p-1)*n + 1).
 
-and the series, summed by Horner's rule, serves |z| < R_p / 2.  The
+At p = 2, T_2 is the Catalan generating function 2 / (1 + sqrt(1 - 4z)),
+whose principal sqrt is cut exactly along [R_2, +infinity), and that closed
+form serves every point.  Every p >= 3 takes the generic route below, which
+the p = 2 cross-checks run against the closed form.
+
+The series, summed by Horner's rule, serves |z| < R_p / 2.  The
 negative real axis has its own monotone Newton.  A float64 input below
 R_p / 2 is served in float64, with the bits of its complex route.  Every
 other point is continued along its ray from a per-ray table over the
@@ -118,7 +123,10 @@ def cut_start(p: int) -> Fraction:
 class FcEvaluator:
     """Evaluator for T_p, its derivative, and the scalar map a(lambda, u).
 
-    The one parameter is the interaction order p >= 2.  The class constants
+    The one parameter is the interaction order p >= 2.  At p = 2 every T
+    comes from the closed form 2 / (1 + sqrt(1 - 4z)); at p >= 3 from the
+    series, the negative-axis Newton and the ray tables (_tp_generic), which
+    at p = 2 serve only as its cross-check.  The class constants
     are n_max, the number of cached series coefficients (60 terms give
     series error below 1e-18 anywhere in |z| <= 0.5 * R_p); tol_residual,
     which every returned T meets as |z T^p - T + 1| <= tol_residual, with no
@@ -383,7 +391,9 @@ class FcEvaluator:
         its points lie in the series disk or on the negative axis, and the
         result is float64, bit for bit the real part of the complex result.
         Every other input is promoted to complex and returns complex.  A
-        point that is not finite raises ValueError naming its index.
+        point that is not finite raises ValueError naming its index.  At
+        p = 2 each point takes the closed form, at p >= 3 _tp_generic; both
+        keep the cut check and the tol_residual check.
         """
         zs = np.atleast_1d(np.asarray(zs))
         if zs.ndim != 1:
@@ -397,6 +407,28 @@ class FcEvaluator:
             zs = np.asarray(zs, dtype=complex)
         if zs.size == 0:
             return np.zeros(0, dtype=zs.dtype)
+        if self.p == 2:
+            if not real:
+                self._check_cut(zs)
+            # the principal sqrt cuts 1 - 4z along (-inf, 0], that is z along
+            # [R_2, inf): the branch with T(0) = 1, and 2.0 at z = R_2
+            out = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * zs))
+        else:
+            out = self._tp_generic(zs)
+        res = np.abs(zs * out**self.p - out + 1)
+        if np.max(res) > self.tol_residual:
+            i = int(np.argmax(res))
+            raise ContinuationFailure(
+                f"residual {res[i]:.3e} above {self.tol_residual} at z={zs[i]}"
+            )
+        return out
+
+    def _tp_generic(self, zs: np.ndarray) -> np.ndarray:
+        """T_p by region: the series disk, the negative axis, the branch
+        point and the continuation, for any p.  zs is a nonempty 1-d array as
+        tp_eval_many passes it on, float64 only if it lies below R_p/2.  It
+        serves every p >= 3, and checks the closed form at p = 2."""
+        real = zs.dtype == np.float64
         out = np.empty_like(zs)
         series = np.abs(zs) < 0.5 * self.cut_start
         if real:
@@ -416,12 +448,6 @@ class FcEvaluator:
             out[series] = self._series_eval(zs[series])
         if np.any(neg):
             out[neg] = self._newton_negative_axis(zs[neg].real)
-        res = np.abs(zs * out**self.p - out + 1)
-        if np.max(res) > self.tol_residual:
-            i = int(np.argmax(res))
-            raise ContinuationFailure(
-                f"residual {res[i]:.3e} above {self.tol_residual} at z={zs[i]}"
-            )
         return out
 
     def _newton_negative_axis(self, zr: np.ndarray) -> np.ndarray:

@@ -89,13 +89,14 @@ class TestTpEval:
         assert ev3.tp_eval(float(cut_start(3))) == pytest.approx(1.5, abs=1e-10)
 
     def test_p2_closed_form(self):
-        # T_2(z) = (1 - sqrt(1 - 4z)) / (2z), principal square root
+        # T_2(z) = (1 - sqrt(1 - 4z)) / (2z), principal square root, against
+        # the generic route that serves p >= 3
         ev = FcEvaluator(2)
         rng = np.random.default_rng(3)
         radii = 10.0 ** rng.uniform(-3, 3, 200)
         angles = rng.uniform(0.06, 2 * np.pi - 0.06, 200)
         zs = radii * np.exp(1j * angles)
-        got = ev.tp_eval_many(zs)
+        got = ev._tp_generic(zs)
         want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
         assert np.max(np.abs(got - want) / np.abs(want)) < 5e-11
 
@@ -184,7 +185,8 @@ class TestTpEval:
         monkeypatch.setattr(FcEvaluator, "_newton_scalar", capped)
         ev = FcEvaluator(2)
         with pytest.raises(ContinuationFailure):
-            ev.tp_eval(np.nextafter(0.25, 0.0))
+            # the generic route: tp_eval takes the closed form at p = 2
+            ev._tp_generic(np.array([np.nextafter(0.25, 0.0)], dtype=complex))
         for bp in (0.25, 0.25 + 1e-17j):
             calls.clear()
             with pytest.raises(ContinuationFailure):
@@ -247,7 +249,8 @@ class TestRayTable:
         for p in (2, 3):
             ev = FcEvaluator(p)
             zs = mc_ray_points(ev, 2000, seed=p)
-            got = ev.tp_eval_many(zs)
+            # at p = 2, tp_eval_many takes the closed form
+            got = ev._tp_generic(zs) if p == 2 else ev.tp_eval_many(zs)
             want = shared_schedule_walk(ev, zs)
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
@@ -260,7 +263,7 @@ class TestRayTable:
             np.repeat([0.05, -0.05, 0.02, -0.02], 100),
         ])
         zs = radii * np.exp(1j * angles)
-        got = ev.tp_eval_many(zs)
+        got = ev._tp_generic(zs)
         want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
@@ -286,7 +289,7 @@ class TestRayTable:
 
         monkeypatch.setattr(FcEvaluator, "_continue_scalar", spy)
         monkeypatch.setattr(fuss_catalan, "_NODE_STEP_REL", -1.0)  # no node passes
-        got = ev.tp_eval_many(zs)
+        got = ev._tp_generic(zs)  # tp_eval_many takes the closed form at p = 2
         assert rescued == [complex(z) for z in zs]
         want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
@@ -447,6 +450,37 @@ def test_value_does_not_depend_on_batch(p, seed, size, real):
     perm = rng.permutation(size)
     assert np.array_equal(ev.tp_eval_many(zs[perm]), alone[perm])
     assert alone.dtype == zs.dtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_r=st.lists(st.floats(-3.0, 14.0), max_size=20),
+    where=st.sampled_from(["plane", "upper lip", "lower lip", "negative axis"]),
+    seed=st.integers(0, 10**6),
+)
+def test_p2_closed_form_is_the_generic_route(log_r, where, seed):
+    # radii 1e-3 to 1e14 R_2, drawn and random; the lips lie 1e-8 to 1e-7
+    # rad off the cut, beyond tol_cut wherever |z| > R_2
+    ev = _EVALUATORS.setdefault(2, FcEvaluator(2))
+    rng = np.random.default_rng(seed)
+    r = ev.cut_start * 10.0 ** np.concatenate([log_r, rng.uniform(-3.0, 14.0, 200)])
+    if where == "negative axis":
+        zs = -r  # float64, below R_2/2: the real routes of both
+    else:
+        lip = 10.0 ** rng.uniform(-8.0, -7.0, r.size)
+        theta = {"plane": rng.uniform(-np.pi, np.pi, r.size), "upper lip": lip, "lower lip": -lip}
+        zs = r * np.exp(1j * theta[where])
+    got, want = ev.tp_eval_many(zs), ev._tp_generic(zs)
+    assert got.dtype == want.dtype == zs.dtype
+    # 2e-15 relative, times the condition number 1/sqrt|1 - 4z| of T_2
+    # where it exceeds 1, next to the branch point
+    cond = np.maximum(1.0, 1.0 / np.sqrt(np.abs(1.0 - 4.0 * zs)))
+    assert np.all(np.abs(got - want) <= 2e-15 * cond * np.abs(want))
+    # the branch point itself, and a point within tol_cut of the cut
+    for route in (ev.tp_eval_many, ev._tp_generic):
+        assert route(np.array([0.25 + 0j]))[0] == 2.0
+        with pytest.raises(CutProximity):
+            route(np.array([r[-1] + 4.0 + 0.5j * ev.tol_cut]))
 
 
 def polyval_series(ev, zs):

@@ -370,21 +370,21 @@ PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
     (1, "original", 2): 0.7462743932242413 - 0.16266362308780277j,
     (1, "lvr", 3): 0.27991386850866284 - 0.19003996172275062j,
     (1, "original", 3): 0.2837440495932855 - 0.19082247611704237j,
-    (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559458j,
+    (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559456j,
     (3, "original", 2): 0.7466872768594769 - 0.1622323643029012j,
     (3, "lvr", 3): 0.27890110351012015 - 0.1901714210806424j,
     (3, "original", 3): 0.28131454071827267 - 0.19120618768904096j,
 }
 # plain (uncontrolled) means and errors at lam = LAM_C, 2 x 3, three workers
 PINNED_RECTANGULAR = {  # (representation, p): (mean, standard error)
-    ("lvr", 2): (0.6842925039854737 - 0.1957854406347069j, 0.0008985491607109293),
+    ("lvr", 2): (0.6842925039854737 - 0.1957854406347069j, 0.0008985491607109294),
     ("original", 2): (0.6853043347572315 - 0.1954632241340446j, 0.0018545496564287298),
     ("lvr", 3): (0.5441942647857837 - 0.18638574787044332j, 0.0017096166113283713),
     ("original", 3): (0.5451608198872205 - 0.18650410379289956j, 0.002780135190545717),
 }
 PINNED_AMPLITUDES = {  # n_workers: (vertex, tree 2) at p = 2, N = 2, lam = 0.05
-    1: (-0.08602609642889038 + 0j, 0.002837961380411822 + 3.0083772395672647e-06j),
-    3: (-0.0860331018552567 + 0j, 0.0028450973189093993 - 2.842524286830504e-06j),
+    1: (-0.08602609642889038 + 0j, 0.002837961380411822 + 3.008377239567265e-06j),
+    3: (-0.0860331018552567 + 0j, 0.0028450973189093993 - 2.8425242868305024e-06j),
 }
 
 
