@@ -15,17 +15,15 @@ whose principal sqrt is cut exactly along [R_2, +infinity), and that closed
 form serves every point.  Every p >= 3 takes the generic route below, which
 the p = 2 cross-checks run against the closed form.
 
-The series, summed by Horner's rule, serves |z| < R_p / 2.  The
+The series, summed by Horner's rule, serves |z| < R_p / 2, and the
 negative real axis has its own monotone Newton.  A float64 input below
 R_p / 2 is served in float64, with the bits of its complex route.  Every
-other point is continued along its ray from a per-ray table over the
-log-radius nodes 0.35 R_p e^(h k), h = 0.05, which are built outward from
-the series by a Hermite predictor and Newton.  The table holds the cubic
-Hermite interpolant in log r on each node interval.
-A point evaluates its interval's cubic and takes three Newton steps at its
-own z, so its value depends on nothing else in the call.  Points the
-table's guards reject are redone by a per-point walk whose steps are
-bounded by the distance to the branch point.  The scalar map
+other point starts from the same series while |z| < R_p, and otherwise from
+the series at infinity, T = zeta * sum_k c_k zeta^k with zeta = (-1/z)^(1/p).
+A few Newton steps follow, and their root is kept where the series' error
+bound proves it is T_p(z).  Every other point is redone by a per-point walk
+whose steps are bounded by the distance to the branch point.  No value
+depends on the other points of the call.  The scalar map
 
     a(lambda, u) = u * T_p(-lambda * u^(p-1))
 
@@ -35,8 +33,8 @@ inverts u = a + lambda * a^p on the same branch (a(0, u) = u).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -54,22 +52,8 @@ __all__ = [
     "moment_cross_check",
 ]
 
-# Continuation tables: cubics in log r on the intervals between the nodes
-# 0.35 R_p e^(h k), k = 0, 1, ..., of the ray arg z = key * _RAY_QUANTUM.
-_RAY_QUANTUM = 2.0**-30
-_NODE_H = 0.05
-_NEWTON_STEPS = 3  # per node and per point
-_NODE_STEP_REL = 0.1
-_POINT_STEP_REL = 1e-8
-_TABLE_CACHE = 8
-
-
-def _hermite(t0, d0, t1, d1) -> np.ndarray:
-    """Coefficients, lowest order first, of the cubic Hermite interpolant on
-    the node interval [k, k+1] in s = (log r - log r_k) / _NODE_H, from T and
-    D = dT/dlog z at both nodes; one column per ray."""
-    hd0, hd1, dt = _NODE_H * d0, _NODE_H * d1, t1 - t0
-    return np.array([t0, hd0, 3 * dt - 2 * hd0 - hd1, hd0 + hd1 - 2 * dt])
+_OUTER_TERMS = 40  # c_0 .. c_K of the series at infinity
+_NEWTON_STEPS = 6  # per continuation point
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -87,6 +71,17 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
         if not k:
             return out
         sq = sq * sq
+
+
+def _horner(w: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] w^k by Horner's rule, in the dtype of w.  The product
+    is not taken in place: in-place complex multiply can give different bits
+    for different batch sizes."""
+    out = np.full_like(w, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * w
+        out += c
+    return out
 
 
 def fc_number(p: int, n: int) -> int:
@@ -120,13 +115,39 @@ def cut_start(p: int) -> Fraction:
     return Fraction((p - 1) ** (p - 1), p**p)
 
 
+@lru_cache(maxsize=None)
+def _outer_series(p: int) -> tuple[tuple[float, ...], float, float]:
+    """The series at infinity, T = zeta * sum_k c_k zeta^k with
+    zeta = (-1/z)^(1/p): its coefficients c_0 .. c_K, its radius
+    rho_p = R_p^(-1/p) in zeta, and a bound on sum_{k>K} |c_k| rho_p^k.
+
+    Lagrange inversion of y^p + zeta y = 1 gives
+    c_k = (-1)^k prod_{j=1}^{k-1} (k + 1 - j p) / (p^k k!), a ratio of
+    integers that the division rounds correctly.  With x = (k+1)/p,
+    |c_k| = B(x, k - x) |sin(pi x)| / (pi p k); Stirling's bounds on the
+    Beta function give |c_k| rho_p^k <= C k^(-3/2) for every k > K, and the
+    sum of k^(-3/2) over k > K is below 2 / sqrt(K + 1/2).
+    """
+    n = _OUTER_TERMS
+    coeffs = tuple(
+        (-1) ** k * math.prod(k + 1 - j * p for j in range(1, k)) / (p**k * math.factorial(k))
+        for k in range(n + 1)
+    )
+    al, k = 1 / p, n + 1
+    a, b = al * (k + 1), (1 - al) * k - al  # x and k - x at k = K + 1
+    e = (al + al * al / (1 - al)) / k + 1 / (12 * a) + 1 / (12 * b)
+    c = math.sqrt(2 / math.pi) * (p - 1) ** -al * math.exp(e) / (p * math.sqrt(al * b / k))
+    return coeffs, float(cut_start(p)) ** -al, 2 * c / math.sqrt(n + 0.5)
+
+
 class FcEvaluator:
     """Evaluator for T_p, its derivative, and the scalar map a(lambda, u).
 
     The one parameter is the interaction order p >= 2.  At p = 2 every T
     comes from the closed form 2 / (1 + sqrt(1 - 4z)); at p >= 3 from the
-    series, the negative-axis Newton and the ray tables (_tp_generic), which
-    at p = 2 serve only as its cross-check.  The class constants
+    series, the negative-axis Newton and the certified continuation
+    (_tp_generic), which at p = 2 serve only as its cross-check.  A call
+    changes no state of the evaluator.  The class constants
     are n_max, the number of cached series coefficients (60 terms give
     series error below 1e-18 anywhere in |z| <= 0.5 * R_p); tol_residual,
     which every returned T meets as |z T^p - T + 1| <= tol_residual, with no
@@ -145,30 +166,21 @@ class FcEvaluator:
         rp = cut_start(p)
         self.cut_start = float(rp)
         self._rho0 = 0.35 * self.cut_start  # series anchor radius of the continuation
-        self._tables: OrderedDict = OrderedDict()  # ray key -> (cubics, ended early)
         self.series_coeffs: list[int] = [fc_number(p, n) for n in range(self.n_max + 1)]
         # scaled coefficients c_n * R_p^n stay O(n^{-3/2}); exact rationals
         # are converted only after the product so nothing overflows
-        self._scaled = np.array(
-            [float(Fraction(c) * rp**n) for n, c in enumerate(self.series_coeffs)]
-        )
+        scaled = [Fraction(c) * rp**n for n, c in enumerate(self.series_coeffs)]
+        self._scaled = np.array([float(c) for c in scaled])
+        # the series sums to T_p(R_p) = p/(p-1) on its circle: this is its tail there
+        self._inner_tail = float(Fraction(p, p - 1) - sum(scaled))
 
     # ----------------------------------------------------------- series
 
     def _series_eval(self, zs: np.ndarray) -> np.ndarray:
-        """Horner's rule on the scaled coefficients, in the dtype of zs.
-
-        The bits are those of numpy's polyval at zs / R_p, because numpy's
-        complex division by a real multiplies by the reciprocal.  The product
-        is not taken in place: in-place complex multiply can give different
-        bits for different batch sizes.
-        """
-        w = zs * (1.0 / self.cut_start)
-        out = np.full_like(w, self._scaled[-1])
-        for c in self._scaled[-2::-1].tolist():
-            out = out * w
-            out += c
-        return out
+        """Horner's rule on the scaled coefficients, in the dtype of zs.  The
+        bits are those of numpy's polyval at zs / R_p, because numpy's complex
+        division by a real multiplies by the reciprocal."""
+        return _horner(zs * (1.0 / self.cut_start), self._scaled.tolist())
 
     # ------------------------------------------------------- cut checks
 
@@ -249,134 +261,54 @@ class FcEvaluator:
                         )
         return t
 
-    def _dlog(self, z, t):
-        """dT/du at u = log z, that is z T^p / (1 - p z T^(p-1))."""
-        w = z * t ** (self.p - 1)
-        return w * t / (1 - self.p * w)
+    def _guess(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A guess g at T_p(z), |z| >= R_p/2, and a bound eps on |g - T_p(z)|:
+        the series at 0 while |z| < R_p, whose tail is at most (|z|/R_p)^61
+        times its tail at R_p, otherwise the series at infinity, whose tail
+        is at most |zeta| (|zeta|/rho_p)^(K+1) times its tail at rho_p, plus
+        1e-14 |g| for rounding."""
+        r = np.abs(zs)
+        inner, outer = r < self.cut_start, r >= self.cut_start
+        g, eps = np.empty_like(zs), np.empty(zs.shape)
+        if np.any(inner):
+            g[inner] = self._series_eval(zs[inner])
+            eps[inner] = (r[inner] / self.cut_start) ** (self.n_max + 1) * self._inner_tail
+        if np.any(outer):
+            coeffs, rho, tail = _outer_series(self.p)
+            zeta = (-1.0 / zs[outer]) ** (1.0 / self.p)
+            g[outer] = zeta * _horner(zeta, coeffs)
+            a = np.abs(zeta)
+            eps[outer] = a * (a / rho) ** (_OUTER_TERMS + 1) * tail
+        return g, eps + 1e-14 * np.abs(g)
 
-    def _newton(self, z, t, steps: int) -> tuple:
-        """`steps` elementwise Newton steps on z T^p - T + 1; returns the
-        root estimate and the last correction."""
-        for _ in range(steps):
+    def _newton(self, z, t):
+        """_NEWTON_STEPS elementwise Newton steps on z T^p - T + 1 from t."""
+        for _ in range(_NEWTON_STEPS):
             w = z * t ** (self.p - 1)
-            step = (w * t - t + 1) / (self.p * w - 1)
-            t = t - step
-        return t, step
+            t = t - (w * t - t + 1) / (self.p * w - 1)
+        return t
 
-    def _continue_rays(self, zs: np.ndarray) -> np.ndarray:
-        """T_p at continuation points from per-ray node tables.
+    def _continue(self, zs: np.ndarray) -> np.ndarray:
+        """T_p at continuation points: a guess g, Newton to t, a certificate.
 
-        A point's ray is its angle rounded to _RAY_QUANTUM.  The point takes
-        the cubic Hermite interpolant in log r on its node interval, then
-        _NEWTON_STEPS Newton steps at its own z.  It is kept if its residual
-        is within tol_residual and its last correction is at most
-        _POINT_STEP_REL |T|; every other point is redone by the per-point
-        walk.  No value depends on the other points of the call.
+        The other roots T_j of z T^p - T + 1 satisfy prod_j |t - T_j| =
+        |p z t^(p-1) - 1| / |z|, and |t - T_j| <= |t| + B, where
+        B = 2 max(|z|^(-1/(p-1)), |2z|^(-1/p)) is the Fujiwara bound on every
+        root.  So no T_j lies within sep = |p z t^(p-1) - 1| / (|z| (|t| + B)^(p-2))
+        of t, and T_p(z), which lies within |t - g| + eps of t, is t if that
+        is below sep.  Every other point, or one whose residual exceeds
+        tol_residual, is redone by the per-point walk.
         """
-        x = np.log(np.abs(zs) / self._rho0) / _NODE_H
-        k = np.maximum(np.floor(x), 0).astype(np.intp)  # node interval [k, k+1]
-        s = x - k
-        keys, ray = np.unique(
-            np.rint(np.angle(zs) / _RAY_QUANTUM).astype(np.int64), return_inverse=True
-        )
-        need = np.zeros(keys.size, dtype=np.intp)  # intervals each ray needs
-        np.maximum.at(need, ray, k + 1)
-        coef = np.zeros((4, zs.size), dtype=complex)  # each point's cubic in s
-        valid = np.zeros(zs.size, dtype=bool)
-        walk = []
-        for i, key in enumerate(keys.tolist()):
-            table = self._tables.get(key)
-            if table is None or (table[0].shape[1] < need[i] and not table[1]):
-                walk.append(i)
-                continue
-            self._tables.move_to_end(key)
-            pts = slice(None) if keys.size == 1 else np.nonzero(ray == i)[0]
-            kp, m = k[pts], table[0].shape[1]
-            coef[:, pts] = table[0][:, np.minimum(kp, m - 1)]
-            valid[pts] = kp < m
-        if walk:
-            walk = np.array(walk)
-            pts = np.nonzero(np.isin(ray, walk))[0]
-            pt_ray = np.searchsorted(walk, ray[pts])
-            self._walk_rays(keys[walk], need[walk], pts, pt_ray, k[pts], coef, valid)
-        t = ((coef[3] * s + coef[2]) * s + coef[1]) * s + coef[0]
-        t, step = self._newton(zs, t, _NEWTON_STEPS)
-        ok = valid & (np.abs(zs * t**self.p - t + 1) <= self.tol_residual)
-        ok &= np.abs(step) <= _POINT_STEP_REL * np.abs(t)
+        p, r = self.p, np.abs(zs)
+        g, eps = self._guess(zs)
+        t = self._newton(zs, g)
+        w = zs * t ** (p - 1)
+        bound = 2 * np.maximum(r ** (-1 / (p - 1)), (2 * r) ** (-1 / p))
+        sep = np.abs(p * w - 1) / (r * (np.abs(t) + bound) ** (p - 2))
+        ok = (np.abs(w * t - t + 1) <= self.tol_residual) & (np.abs(t - g) + eps < sep)
         for i in np.nonzero(~ok)[0]:
             t[i] = self._continue_scalar(complex(zs[i]))
         return t
-
-    def _walk_rays(self, keys, need, pts, pt_ray, pt_k, coef, valid) -> None:
-        """Walk the rays `keys` out to node need[r], all rays at once.
-
-        Node k+1 starts from the Hermite cubic of interval [k-1, k],
-        extrapolated to s = 2, and takes _NEWTON_STEPS Newton steps.  It is
-        accepted if its residual is within tol_residual and its total
-        correction is at most _NODE_STEP_REL of the node spacing h |D_k|;
-        otherwise its ray ends at node k.  Point pts[j] lies on ray
-        pt_ray[j] in interval pt_k[j] and takes that interval's cubic into
-        `coef` as the walk passes it, so memory stays O(points + rays).  A
-        call that walks at most _TABLE_CACHE rays caches them whole.
-        """
-        p, tol = self.p, self.tol_residual
-        order = np.argsort(need, kind="stable")  # so rays finish in order
-        keys, need = keys[order], need[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        by_k = np.argsort(pt_k, kind="stable")
-        pts, pt_ray = pts[by_k], rank[pt_ray[by_k]]
-        first = np.searchsorted(pt_k[by_k], np.arange(need[-1] + 1))
-        phase = np.exp(1j * (keys * _RAY_QUANTUM))
-        z_back, z_cur = self._rho0 * math.exp(-_NODE_H) * phase, self._rho0 * phase
-        t_back, t_cur = self._series_eval(z_back), self._series_eval(z_cur)
-        d_cur = self._dlog(z_cur, t_cur)
-        c_prev = _hermite(t_back, self._dlog(z_back, t_back), t_cur, d_cur)
-        ids = np.arange(keys.size)  # the rays still walking
-        pos = np.arange(keys.size)  # index of each ray in the walking arrays, or -1
-        keep = keys.size <= _TABLE_CACHE
-        if keep:
-            hist = np.zeros((4, keys.size, need[-1]), dtype=complex)
-            ends = need.copy()  # intervals each ray keeps
-        for kn in range(need[-1]):
-            if not ids.size:
-                break
-            moved = need[ids[0]] <= kn  # need[ids] ascends: drop the rays done
-            if moved:
-                done = int(np.searchsorted(need[ids], kn, side="right"))
-                ids, phase = ids[done:], phase[done:]
-                c_prev, t_cur, d_cur = c_prev[:, done:], t_cur[done:], d_cur[done:]
-            z = self._rho0 * math.exp(_NODE_H * (kn + 1)) * phase
-            pred = c_prev[0] + 2 * c_prev[1] + 4 * c_prev[2] + 8 * c_prev[3]
-            t_new, _ = self._newton(z, pred, _NEWTON_STEPS)
-            d_new = self._dlog(z, t_new)
-            c = _hermite(t_cur, d_cur, t_new, d_new)
-            ok = np.abs(z * t_new**p - t_new + 1) <= tol
-            ok &= np.abs(t_new - pred) <= _NODE_STEP_REL * np.abs(c[1])
-            if not ok.all():
-                if keep:
-                    ends[ids[~ok]] = kn
-                ids, phase, c, t_new, d_new = ids[ok], phase[ok], c[:, ok], t_new[ok], d_new[ok]
-                moved = True
-            if moved:
-                pos[:] = -1
-                pos[ids] = np.arange(ids.size)
-            if first[kn] < first[kn + 1]:
-                here = slice(first[kn], first[kn + 1])
-                at = pos[pt_ray[here]]
-                live = at >= 0
-                got = pts[here][live]
-                coef[:, got] = c[:, at[live]]
-                valid[got] = True
-            if keep:
-                hist[:, ids, kn] = c
-            c_prev, t_cur, d_cur = c, t_new, d_new
-        if keep:
-            for r, key in enumerate(keys.tolist()):
-                self._tables[key] = (hist[:, r, : ends[r]].copy(), ends[r] < need[r])
-                self._tables.move_to_end(key)
-            while len(self._tables) > _TABLE_CACHE:
-                self._tables.popitem(last=False)
 
     # ------------------------------------------------------- public API
 
@@ -443,7 +375,7 @@ class FcEvaluator:
             neg = (~series) & (zs.imag == 0) & (zs.real < 0)
             rest = ~(at_bp | series | neg)
             if np.any(rest):
-                out[rest] = self._continue_rays(zs[rest])
+                out[rest] = self._continue(zs[rest])
         if np.any(series):
             out[series] = self._series_eval(zs[series])
         if np.any(neg):
@@ -474,15 +406,21 @@ class FcEvaluator:
 
         The path starts at the first waypoint, which must lie inside the
         series disk (|w| <= 0.45 R_p), visits each waypoint in order and
-        ends at z.  Used to confirm path independence of the branch.
+        ends at z.  Used to confirm path independence of the branch.  A
+        waypoint within tol_cut of the open cut, or a segment that crosses
+        it, raises CutProximity: the walk would leave the branch.
         """
-        z = complex(z)
-        self._check_cut(np.array([z], dtype=complex))
-        start = complex(waypoints[0])
-        if abs(start) > 0.45 * self.cut_start:
+        path = [complex(w) for w in waypoints] + [complex(z)]
+        self._check_cut(np.array(path))
+        for a, b in zip(path, path[1:]):
+            if min(a.imag, b.imag) < 0 < max(a.imag, b.imag):
+                x = a.real + (b.real - a.real) * a.imag / (a.imag - b.imag)
+                if x > self.cut_start:
+                    raise CutProximity(f"segment {a} -> {b} crosses the cut at {x}")
+        if abs(path[0]) > 0.45 * self.cut_start:
             raise ValueError("first waypoint must lie inside the series disk")
-        t = complex(self._series_eval(np.array([start]))[0])
-        return self._walk_segments([complex(w) for w in waypoints] + [z], t)
+        t = complex(self._series_eval(np.array([path[0]]))[0])
+        return self._walk_segments(path, t)
 
     def tp_deriv(self, z: complex) -> complex:
         return complex(self.tp_deriv_many(np.array([z], dtype=complex))[0])

@@ -1,5 +1,6 @@
 """Tests for Fuss-Catalan numbers and the T_p evaluator."""
 
+import copy
 import math
 
 import numpy as np
@@ -133,7 +134,7 @@ class TestTpEval:
             radii = ev.cut_start * rng.uniform(0.36, 0.44, 100)
             angles = rng.uniform(-np.pi, np.pi, 100)
             zs = radii * np.exp(1j * angles)
-            assert np.max(np.abs(ev._series_eval(zs) - ev._continue_rays(zs))) < 1e-12
+            assert np.max(np.abs(ev._series_eval(zs) - ev._continue(zs))) < 1e-12
 
     def test_negative_axis_positive_and_monotone(self):
         for p in (2, 3, 4):
@@ -267,15 +268,15 @@ class TestRayTable:
         want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
-    def test_table_is_reused_across_calls(self):
+    def test_call_changes_no_evaluator_state(self):
         ev = FcEvaluator(3)
-        zs = mc_ray_points(ev, 500, seed=8)
+        before = copy.deepcopy(vars(ev))
+        # the Monte Carlo ray, both series' guesses and a rescue walk
+        zs = np.concatenate([mc_ray_points(ev, 500, seed=8), [0.1 + 0.05j, 0.1 + 0.2j, 0.15 + 1e-4j]])
         first = ev.tp_eval_many(zs)
-        tables = dict(ev._tables)
+        assert vars(ev).keys() == before.keys()
+        assert all(np.array_equal(v, before[k]) for k, v in vars(ev).items())
         assert np.array_equal(ev.tp_eval_many(zs[::-1]), first[::-1])
-        # the second call reads the cached table and walks no node
-        assert ev._tables.keys() == tables.keys()
-        assert all(ev._tables[k] is v for k, v in tables.items())
 
     def test_forced_fallback_is_rescued(self, monkeypatch):
         ev = FcEvaluator(2)
@@ -288,11 +289,42 @@ class TestRayTable:
             return scalar(self, z)
 
         monkeypatch.setattr(FcEvaluator, "_continue_scalar", spy)
-        monkeypatch.setattr(fuss_catalan, "_NODE_STEP_REL", -1.0)  # no node passes
+        # infinite tail bounds: no point is certified, inside R_p or out
+        outer_series = fuss_catalan._outer_series
+        monkeypatch.setattr(fuss_catalan, "_outer_series", lambda p: outer_series(p)[:2] + (math.inf,))
+        monkeypatch.setattr(ev, "_inner_tail", math.inf)
+        assert np.any(np.abs(zs) < ev.cut_start) and np.any(np.abs(zs) > ev.cut_start)
         got = ev._tp_generic(zs)  # tp_eval_many takes the closed form at p = 2
         assert rescued == [complex(z) for z in zs]
         want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_newton_on_another_root_is_never_certified(self, monkeypatch):
+        # y(s) solves y^p + s y = 1 for |s| < rho_p, so with zeta^p = -1/z every
+        # s = zeta w, w^p = 1, gives a root s y(s) of z T^p - T + 1; w = 1 is T_p
+        rng = np.random.default_rng(5)
+        newton = FcEvaluator._newton
+        for p in (3, 4, 5, 6):
+            ev = FcEvaluator(p)
+            coeffs = fuss_catalan._outer_series(p)[0]
+            radii = ev.cut_start * 10.0 ** rng.uniform(np.log10(2.0**p), 8, 50)
+            zs = radii * np.exp(1j * rng.uniform(0.05, 2 * np.pi - 0.05, 50))
+            want = ev.tp_eval_many(zs)
+            zeta = (-1 / zs) ** (1 / p)
+            for m in range(1, p):
+                s = zeta * np.exp(2j * np.pi * m / p)
+                other = s * np.polynomial.polynomial.polyval(s, coeffs)
+                assert np.all(np.abs(other - want) > 1e-3 * np.abs(want))
+                rescued = []
+                scalar = FcEvaluator._continue_scalar
+                monkeypatch.setattr(FcEvaluator, "_newton", lambda self, z, t: newton(self, z, other))
+                monkeypatch.setattr(
+                    FcEvaluator, "_continue_scalar", lambda self, z: rescued.append(z) or scalar(self, z)
+                )
+                got = ev.tp_eval_many(zs)
+                monkeypatch.undo()
+                assert rescued == [complex(z) for z in zs]
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
 class TestPathIndependence:
@@ -315,6 +347,19 @@ class TestPathIndependence:
         ev = FcEvaluator(2)
         with pytest.raises(ValueError):
             ev.tp_eval_along(-1.0, [0.2])
+
+    def test_path_across_the_cut_raises(self):
+        # above the cut and back down across it, the walk returned
+        # 1.107+0.729j, a value on another branch, where T_3 is 1.022-0.431j
+        ev = FcEvaluator(3)
+        z = 0.3 - 0.1j
+        with pytest.raises(CutProximity):
+            ev.tp_eval_along(z, [0.01, 0.01 + 0.5j, 0.5 + 0.5j])
+        with pytest.raises(CutProximity):
+            ev.tp_eval_along(z, [0.01, 0.3 + 0.5j * ev.tol_cut, 0.5 - 0.5j])
+        # below the cut, or across the real axis left of R_p, is the branch
+        for path in ([0.01, 0.01 - 0.5j, 0.5 - 0.5j], [0.01, 0.01 + 0.5j, -1 + 0.5j]):
+            assert abs(ev.tp_eval_along(z, path) - ev.tp_eval(z)) < 1e-13
 
     def test_radial_walk_stays_on_branch(self):
         # a step of a quarter of the segment used to land on another root
@@ -481,6 +526,28 @@ def test_p2_closed_form_is_the_generic_route(log_r, where, seed):
         assert route(np.array([0.25 + 0j]))[0] == 2.0
         with pytest.raises(CutProximity):
             route(np.array([r[-1] + 4.0 + 0.5j * ev.tol_cut]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(3, 8),
+    where=st.sampled_from(["plane", "upper lip", "lower lip", "annulus", "far"]),
+    seed=st.integers(0, 10**6),
+)
+def test_guess_error_is_within_its_bound(p, where, seed):
+    # |z| from R_p/2 to 1e14 R_p; the annulus is R_p/2 .. 2^p R_p, and the
+    # lips lie 1e-8 to 1e-2 rad off the cut; the walk is the reference
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    rng = np.random.default_rng(seed)
+    lo, hi = {"annulus": (-math.log10(2), p * math.log10(2)), "far": (p * math.log10(2), 14.0)}.get(
+        where, (-math.log10(2), 14.0)
+    )
+    lip = 10.0 ** rng.uniform(-8.0, -2.0, 20)
+    theta = {"upper lip": lip, "lower lip": -lip}.get(where, rng.uniform(-np.pi, np.pi, 20))
+    zs = ev.cut_start * 10.0 ** rng.uniform(lo, hi, 20) * np.exp(1j * theta)
+    g, eps = ev._guess(zs)
+    want = np.array([ev._continue_scalar(complex(z)) for z in zs])
+    assert np.all(np.abs(g - want) <= eps)
 
 
 def polyval_series(ev, zs):

@@ -368,7 +368,7 @@ LAM_C = 0.05 * np.exp(1j * np.pi / 4)
 PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
     (1, "lvr", 2): 0.7467266920530694 - 0.16210996529322175j,
     (1, "original", 2): 0.7462743932242413 - 0.16266362308780277j,
-    (1, "lvr", 3): 0.27991386850866284 - 0.19003996172275062j,
+    (1, "lvr", 3): 0.27991386850866284 - 0.1900399617227506j,
     (1, "original", 3): 0.2837440495932855 - 0.19082247611704237j,
     (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559456j,
     (3, "original", 2): 0.7466872768594769 - 0.1622323643029012j,
