@@ -166,8 +166,8 @@ def _cmd_fc(args) -> int:
         return EXIT_OK
 
     if args.fc_command == "moments":
-        if args.n_max < 0:
-            raise SystemExit("lvr-lab: error: need n-max >= 0")
+        if not 0 <= args.n_max <= 20:
+            raise SystemExit("lvr-lab: error: need 0 <= n-max <= 20")
         rows = [(n, fuss_catalan.moment_cross_check(n)) for n in range(args.n_max + 1)]
         if args.format == "csv":
             lines = ["n,residual"] + [f"{n},{res:.3e}" for n, res in rows]

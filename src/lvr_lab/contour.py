@@ -41,7 +41,6 @@ import numpy as np
 from .errors import (
     BadGeometry,
     ContinuationFailure,
-    NearCollision,
     QuadratureFailure,
     ToleranceNotMet,
 )
@@ -56,15 +55,14 @@ __all__ = [
     "make_keyhole",
     "winding_number",
     "cauchy_reconstruct_a",
-    "weight_phi",
-    "weight_psi",
     "reconstruct_s",
     "cut_sector_audit",
     "bound_integrals",
     "BoundIntegrals",
 ]
 
-V_COLLISION_GUARD = 1e-9
+# initial log-radial window of the infinite rays, rho = r e^y for y in [0, _Y_MAX]
+_Y_MAX = 20.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,27 +247,6 @@ def _phi_pairs(p: int, t: complex, a1: np.ndarray, a2: np.ndarray) -> list:
     return pairs
 
 
-def weight_phi(params: ModelParams, t: complex, u: complex, v1: complex, v2: complex) -> complex:
-    """phi weight; empty k-sum makes it identically zero for p = 2."""
-    gap = min(abs(v1 - u), abs(v2 - u))
-    if gap < V_COLLISION_GUARD:
-        raise NearCollision(f"min(|v1 - u|, |v2 - u|) = {gap:.2e} below guard")
-    p = params.p
-    if p == 2:
-        return 0j
-    a_u, a1, a2 = evaluator(p).a_eval_many(t, np.array([u, v1, v2], dtype=complex))
-    tot = sum(l * r for l, r in _phi_pairs(p, t, a1, a2))
-    return complex(-a_u / ((v1 - u) * (v2 - u)) * tot)
-
-
-def weight_psi(params: ModelParams, t: complex, v1: complex, v2: complex) -> complex:
-    if abs(v1 - v2) < V_COLLISION_GUARD:
-        raise NearCollision(f"|v1 - v2| = {abs(v1 - v2):.2e} below guard")
-    p = params.p
-    a1, a2 = evaluator(p).a_eval_many(t, np.array([v1, v2], dtype=complex))
-    return complex(-2.0 / (v1 - v2) * a1 * _psi_factor(p, t, a2))
-
-
 # scalar map on grids: warm-started Newton continuation along the t segment
 
 
@@ -389,12 +366,12 @@ class CutSectorReport:
     eta: float
 
 
-def cut_sector_audit(params: ModelParams, contour: KeyholeContour, samples: int = 256) -> CutSectorReport:
+def cut_sector_audit(params: ModelParams, contour: KeyholeContour) -> CutSectorReport:
     pc = params.pacman
     p = params.p
     lam = complex(params.lam)
     r_eff = contour.R if contour.is_finite else contour.r * 1e6
-    n_piece = max(samples // 4, 8)
+    n_piece = 64  # samples on each of the four pieces
     rho = np.geomspace(contour.r, r_eff, n_piece)
     th_big = np.linspace(-contour.psi, contour.psi, n_piece)
     th_small = np.linspace(contour.psi, 2 * np.pi - contour.psi, n_piece)
@@ -462,10 +439,7 @@ def _bound_pass(params: ModelParams, triple: ContourTriple, t_nodes: int, n_ray:
     x, wq = _gauss_legendre(t_nodes)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * wq * abs(lam)
-    # a(t, w) = w T_p(-t w^(p-1)) at every t-node in one call: arg z does not
-    # depend on t, so the ray nodes lie on at most six T_p rays, few enough
-    # for the evaluator to keep each ray's table; the small arcs lie in the
-    # series disk
+    # a(t, w) = w T_p(-t w^(p-1)) at every t-node in one evaluator call
     t = (lam * tau)[:, None]
     ws = np.concatenate((v1, v2, u) if p > 2 else (v1, v2))
     zs = -t * ws ** (p - 1)
@@ -510,7 +484,6 @@ def bound_integrals(
     triple: ContourTriple,
     t_nodes: int = 6,
     ray_nodes: int = 72,
-    y_max: float = 20.0,
 ) -> BoundIntegrals:
     """Numeric estimates of the three decay integrals on infinite keyholes.
 
@@ -520,23 +493,21 @@ def bound_integrals(
     segment contributing |lam| d tau.  Rays are truncated at r e^y under
     a certificate: the contribution of the outer quarter of the
     log-radial window must stay below 1e-4 of each total.  The window
-    starts at y_max and widens (with node density held fixed) until the
+    starts at y = 20 and widens (with node density held fixed) until the
     certificate passes; the decay sets in only past a crossover radius
     that grows as t shrinks, so the initial window can be too short.
     """
     if not params.is_in_pacman():
         raise ValueError("lam outside the pacman domain")
-    if not (math.isfinite(y_max) and y_max > 0):
-        raise ValueError(f"y_max must be finite and positive, got {y_max}")
     for g in (triple.gamma0, triple.gamma1, triple.gamma2):
         if g.is_finite:
             raise BadGeometry("bound integrals are defined on infinite keyholes")
         _check_lemma_geometry(params, g)
     active = (1, 2) if params.p == 2 else (0, 1, 2)
-    y_cur = y_max
+    y_cur = _Y_MAX
     last = None
     for _ in range(4):
-        n_ray = int(math.ceil(ray_nodes * y_cur / y_max))
+        n_ray = int(math.ceil(ray_nodes * y_cur / _Y_MAX))
         totals, tails = _bound_pass(params, triple, t_nodes, n_ray, y_cur)
         last = (totals, tails)
         if all(totals[j] == 0 or tails[j] <= 1e-4 * totals[j] for j in active):

@@ -44,10 +44,6 @@ class BadGeometry(LvrLabError):
     """Contour or domain parameters violate the required geometric constraints."""
 
 
-class NearCollision(LvrLabError):
-    """Two contour variables approach each other closer than the kernel allows."""
-
-
 class ToleranceNotMet(LvrLabError):
     """A verification quantity exceeded its required tolerance."""
 
@@ -58,10 +54,6 @@ class DivergentIntegrand(LvrLabError):
 
 class DegreeTooLarge(LvrLabError):
     """Moment degree exceeds the exact-enumeration bound."""
-
-
-class PatternMismatch(LvrLabError):
-    """Expression does not match the required double-trace reduction pattern."""
 
 
 class SizeBound(LvrLabError):

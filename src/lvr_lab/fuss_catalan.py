@@ -401,30 +401,6 @@ class FcEvaluator:
                 break
         return t
 
-    def tp_eval_along(self, z: complex, waypoints: list[complex]) -> complex:
-        """Continue T_p to z along an explicit cut-avoiding polyline.
-
-        The path starts at the first waypoint, which must lie inside the
-        series disk (|w| <= 0.45 R_p), visits each waypoint in order and
-        ends at z.  Used to confirm path independence of the branch.  A
-        waypoint within tol_cut of the open cut, or a segment that crosses
-        it, raises CutProximity: the walk would leave the branch.
-        """
-        path = [complex(w) for w in waypoints] + [complex(z)]
-        self._check_cut(np.array(path))
-        for a, b in zip(path, path[1:]):
-            if min(a.imag, b.imag) < 0 < max(a.imag, b.imag):
-                x = a.real + (b.real - a.real) * a.imag / (a.imag - b.imag)
-                if x > self.cut_start:
-                    raise CutProximity(f"segment {a} -> {b} crosses the cut at {x}")
-        if abs(path[0]) > 0.45 * self.cut_start:
-            raise ValueError("first waypoint must lie inside the series disk")
-        t = complex(self._series_eval(np.array([path[0]]))[0])
-        return self._walk_segments(path, t)
-
-    def tp_deriv(self, z: complex) -> complex:
-        return complex(self.tp_deriv_many(np.array([z], dtype=complex))[0])
-
     def tp_deriv_many(self, zs, t_vals: np.ndarray | None = None) -> np.ndarray:
         """dT_p/dz = T^p / (1 - p z T^(p-1)); rejected at the branch point."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
@@ -434,7 +410,7 @@ class FcEvaluator:
             raise BranchPoint("T_p' blows up: 1 - p z T^(p-1) vanishes")
         return t**self.p / denom
 
-    # scalar map a(lambda, u) and its partial derivatives
+    # scalar map a(lambda, u)
 
     def a_eval(self, lam: complex, u: complex) -> complex:
         return complex(self.a_eval_many(lam, np.array([u], dtype=complex))[0])
@@ -449,14 +425,6 @@ class FcEvaluator:
             us = np.asarray(us, dtype=complex)
             zs = -lam * us ** (self.p - 1)
         return us * self.tp_eval_many(zs)
-
-    def a_du(self, lam: complex, u: complex) -> complex:
-        """Partial derivative of a with respect to the spectral variable u.
-
-        Differentiating u = a + lambda a^p gives da/du = 1/(1 + p lambda a^(p-1)).
-        """
-        a = self.a_eval(lam, u)
-        return 1.0 / (1.0 + self.p * lam * a ** (self.p - 1))
 
     def functional_equation_residual(self, lam: complex, us) -> np.ndarray:
         """|a + lambda a^p - u| for each u; the defining relation of a."""
@@ -480,23 +448,23 @@ def decay_bound_report(
     ev: FcEvaluator,
     region_samples: int,
     *,
-    sector_epsilon: float = 0.3,
     seed: int = 7,
 ) -> DecayBoundReport:
     """Fit the constant K in |T_p(z)| <= K (1+|z|)^(-1/p) and
     |T_p'(z)| <= K (1+|z|)^(-1-1/p) over the complement of the cut sector.
 
     Samples are drawn with log-uniform radius in [1e-2, 1e4] and argument
-    bounded away from the cut sector half-angle; the negative real ray and
-    the origin are always included.  K is fitted, not asserted: the report
-    records the worst sample so a blowup would be visible immediately.
+    bounded away from the half-angle 0.15 of a 0.3 rad cut sector; the
+    negative real ray and the origin are always included.  K is fitted,
+    not asserted: the report records the worst sample so a blowup would
+    be visible immediately.
     """
     if region_samples < 10:
         raise ValueError("need at least 10 samples for a meaningful fit")
     rng = np.random.default_rng(seed)
     n_rand = region_samples - 2
     radii = 10.0 ** rng.uniform(-2, 4, n_rand)
-    half = sector_epsilon / 2 + 0.02
+    half = 0.15 + 0.02
     args = rng.uniform(half, np.pi, n_rand) * rng.choice([-1.0, 1.0], n_rand)
     zs = np.concatenate(
         [radii * np.exp(1j * args), np.array([0.0 + 0j, -1e4 + 0j])]

@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, SizeBound
+from .errors import SizeBound
 from .lvr_action import ModelParams, grad_spectral_many
 from .oracle import (
     McConfig,
@@ -43,12 +43,9 @@ __all__ = [
     "bkar_identity_check",
     "faadibruno_enumerate",
     "faadibruno_numeric_check",
-    "grad_s_entries",
     "amplitude_trivial",
     "amplitude_tree2",
     "lve_partial_sum",
-    "amplitude_to_json_dict",
-    "trees_to_csv",
 ]
 
 MAX_N = 6
@@ -147,14 +144,6 @@ class DecoratedTree:
             for s, t in self.decorations:
                 if s not in (1, 2) or t not in (1, 2):
                     raise ValueError("decorations take values in {1, 2}")
-
-    @property
-    def coordinations(self) -> tuple:
-        r = [0] * self.n
-        for a, b in self.edges:
-            r[a] += 1
-            r[b] += 1
-        return tuple(r)
 
 
 def enumerate_forests(n: int):
@@ -459,7 +448,7 @@ def _fd_step(r: int) -> float:
     return {0: 1e-5, 1: 1e-5, 2: 1e-4, 3: 1e-3}.get(r, 5e-3)
 
 
-def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int, h: float | None = None) -> float:
+def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int) -> float:
     """Relative residual between the corner-word sum (slots contracted
     with unit entry directions) and the matching finite difference of
     Tr 1/(v - M M^dag) in the entries of M and M^dag."""
@@ -468,8 +457,7 @@ def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int, h: fl
     if m.shape != (n, n):
         raise ValueError("square matrix required")
     r = q + qbar
-    if h is None:
-        h = _fd_step(r)
+    h = _fd_step(r)
     mdag = m.conj().T
     entries = [(a, b) for a in range(n) for b in range(n)]
     dirs_m = [entries[i % len(entries)] for i in range(q)]
@@ -518,11 +506,11 @@ def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int, h: fl
 # gradients of the action in the matrix entries
 
 
-def _grad_fd(params: ModelParams, m: np.ndarray, h: float = 1e-6):
-    """Entrywise Wirtinger derivatives of S by central differences; the
-    perturbed matrix keeps X = M M^dag Hermitian, so no eigenbasis is
-    ever needed."""
-    n = m.shape[0]
+def _grad_fd(params: ModelParams, m: np.ndarray):
+    """Entrywise Wirtinger derivatives of S by central differences of step
+    1e-6; the perturbed matrix keeps X = M M^dag Hermitian, so no
+    eigenbasis is ever needed."""
+    n, h = m.shape[0], 1e-6
     pert = []
     for a in range(n):
         for b in range(n):
@@ -590,24 +578,6 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
         dm, dd = _grad_fd(params, m[idx])
         out[idx] = (dd if side == "gm" else dm).T
     return out
-
-
-def grad_s_entries(params: ModelParams, m: np.ndarray, method: str = "spectral"):
-    """Gradient matrices (dS/dM, dS/dM^dag), entry [a, b] differentiating
-    with respect to that entry."""
-    m = np.asarray(m, dtype=complex)
-    if params.n_l != params.n_r or m.shape != (params.n_l, params.n_l):
-        raise ValueError("square matrix matching the model shape required")
-    if method == "fd":
-        return _grad_fd(params, m)
-    if method != "spectral":
-        raise ValueError("method must be 'spectral' or 'fd'")
-    if _near_degenerate(np.linalg.eigvalsh(m @ m.conj().T)[None])[0]:
-        raise DegenerateSpectrum(
-            "eigenvalues too close for a stable eigenbasis; use method='fd'"
-        )
-    dm = _grads_batch(params, m[None], "mdg")[0].T
-    return dm, _grads_batch(params, m[None], "gm")[0].T
 
 
 # Monte Carlo amplitudes
@@ -740,33 +710,3 @@ def lve_partial_sum(params: ModelParams, cfg: McConfig, n_max: int = 2) -> LvePa
     value = a0.value + 0.5 * n_trees * t2.value
     err = math.hypot(a0.std_error, 0.5 * n_trees * t2.std_error)
     return LvePartialSum(complex(value), err, 2, cfg.n_samples, cfg.seed)
-
-
-def amplitude_to_json_dict(est: AmplitudeEstimate) -> dict:
-    return {
-        "tree_id": est.tree_id,
-        "value_re": est.value.real,
-        "value_im": est.value.imag,
-        "std_error": est.std_error,
-        "n_samples": est.n_samples,
-        "seed": est.seed,
-        "w_node_check": est.w_node_check,
-    }
-
-
-def trees_to_csv(trees) -> str:
-    """Edge-list CSV: one row per tree, edges as tail->head pairs."""
-    lines = ["tree_index,edges,decorations"]
-    for k, t in enumerate(trees):
-        if isinstance(t, Forest):
-            edges = ";".join(f"{a}-{b}" for a, b in sorted(t.edges))
-            deco = ""
-        else:
-            edges = ";".join(f"{a}>{b}" for a, b in t.edges)
-            deco = (
-                ";".join(f"{s}{u}" for s, u in t.decorations)
-                if t.decorations is not None
-                else ""
-            )
-        lines.append(f"{k},{edges},{deco}")
-    return "\n".join(lines) + "\n"

@@ -40,8 +40,6 @@ __all__ = [
     "evaluator",
     "matrix_a",
     "action_s",
-    "d_action_dlam",
-    "grad_spectral",
     "grad_spectral_many",
     "resolvent_derivative_check",
     "selective_integration_check",
@@ -113,19 +111,6 @@ class Spectrum:
         if len(vals) == 0:
             raise ValueError("spectrum must be nonempty")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Spectrum":
-        m = np.asarray(m, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        gram = m @ m.conj().T
-        vals = np.linalg.eigvalsh(gram)
-        # eigvalsh can return -1e-17 noise for exact zero modes
-        vals = np.where(np.abs(vals) < 1e-12, 0.0, vals)
-        if np.any(vals < 0):
-            raise ValueError("Gram matrix produced a negative eigenvalue")
-        return cls(tuple(float(v) for v in np.sort(vals)))
 
     @property
     def array(self) -> np.ndarray:
@@ -262,28 +247,6 @@ def _weighted_pair_sum(a_i: np.ndarray, a_j: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def d_action_dlam(spec, params: ModelParams) -> complex:
-    """Analytic d(total)/d(lam) at fixed spectrum.
-
-    With W_ij = 1 + lam * P_ij and P_ij the symmetric pair sum, the
-    derivative is -sum_ij (P_ij + lam * dP_ij)/W_ij plus the vector piece;
-    dP uses da/dlam = -a^p / (1 + p lam a^(p-1)).
-    """
-    spec = _as_spectrum(spec)
-    p, lam = params.p, params.lam
-    a = matrix_a(spec, params)
-    adot = _a_dt(p, lam, a)
-    ai, aj = a[:, None], a[None, :]
-    pair = _pair_sum(ai, aj, p)
-    w = 1 + lam * pair
-    q = adot[:, None] * _weighted_pair_sum(ai, aj, p)
-    dw = pair + lam * (q + q.T)
-    d_mat = -np.sum(dw / w)
-    wv = 1 + lam * a ** (p - 1)
-    d_vec = -(params.n_r - params.n_l) * np.sum(_psi_factor(p, lam, a) / wv)
-    return complex(d_mat + d_vec)
-
-
 def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
     """h[r, m] = d(total)/d(s_m) for each row r of (k, n_l) spectra, complex.
 
@@ -318,11 +281,6 @@ def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
         wv = 1 + lam * a ** (p - 1)
         h -= (params.n_r - params.n_l) * lam * (p - 1) * a ** (p - 2) * a_du / wv
     return h.astype(complex, copy=False)
-
-
-def grad_spectral(spec, params: ModelParams) -> np.ndarray:
-    """h_m = d(total)/d(s_m): gradient of the action in the eigenvalues."""
-    return grad_spectral_many(_as_spectrum(spec).array[None], params)[0]
 
 
 def resolvent_derivative_check(spec, params: ModelParams) -> float:

@@ -47,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
-from .lvr_action import ModelParams, _action_logs, _pair_sum, action_s_many
+from .errors import DivergentIntegrand, QuadratureFailure
+from .lvr_action import ModelParams, _action_logs, action_s_many
 from .perturbation import TraceMonomial, TracePolynomial, closed_form_s1, closed_form_s2, moment
 
 __all__ = [
@@ -57,12 +57,9 @@ __all__ = [
     "z_original",
     "z_lvr",
     "free_energy",
-    "JacobianReport",
-    "jacobian_positivity_check",
     "z0_closed_form",
     "measure_self_test",
     "z_series_fd",
-    "zresult_to_json_dict",
 ]
 
 DEFAULT_NODES = {1: 384, 2: 128, 3: 72, 4: 40}
@@ -193,13 +190,13 @@ def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
     return complex(num / den)
 
 
-def _quadrature_z(params: ModelParams, mode: str, n_nodes: int | None) -> ZResult:
+def _quadrature_z(params: ModelParams, mode: str) -> ZResult:
     if params.n_l != params.n_r:
         raise ValueError("the eigenvalue quadrature covers the square case only")
     if params.n_l > 4:
         raise ValueError("quadrature supported for N <= 4; use Monte Carlo")
     _stability_gate(params.lam)
-    n_nodes = DEFAULT_NODES[params.n_l] if n_nodes is None else n_nodes
+    n_nodes = DEFAULT_NODES[params.n_l]
     if params.lam == 0:
         return ZResult(1.0 + 0j, "eigen_quadrature", 1e-16, n_nodes**params.n_l)
     value = _quadrature_ratio(params, mode, n_nodes)
@@ -366,82 +363,41 @@ def _mc_z(params: ModelParams, cfg: McConfig, mode: str) -> ZResult:
     return ZResult(complex(mean[0]), "monte_carlo", err, cfg.n_samples, cfg.seed)
 
 
-def z_original(
-    params: ModelParams, cfg: McConfig | None = None, *, n_nodes: int | None = None
-) -> ZResult:
+def z_original(params: ModelParams, cfg: McConfig | None = None) -> ZResult:
     """Normalized Z of the defining action exp(-N_r Tr[X + lam X^p]).
 
     cfg=None selects the eigenvalue quadrature (square, N <= 4); passing
     an McConfig switches to Monte Carlo (any shape).
     """
     if cfg is None:
-        return _quadrature_z(params, "original", n_nodes)
+        return _quadrature_z(params, "original")
     return _mc_z(params, cfg, "original")
 
 
-def z_lvr(
-    params: ModelParams, cfg: McConfig | None = None, *, n_nodes: int | None = None
-) -> ZResult:
+def z_lvr(params: ModelParams, cfg: McConfig | None = None) -> ZResult:
     """Normalized Z in the loop vertex representation: E[exp(S)].
 
     Must agree with z_original; the agreement is the numerical statement
     of the change-of-variables identity.
     """
     if cfg is None:
-        return _quadrature_z(params, "lvr", n_nodes)
+        return _quadrature_z(params, "lvr")
     return _mc_z(params, cfg, "lvr")
 
 
 def free_energy(
-    params: ModelParams,
-    cfg: McConfig | None = None,
-    representation: str = "original",
-    *,
-    n_nodes: int | None = None,
+    params: ModelParams, cfg: McConfig | None = None, representation: str = "original"
 ) -> complex:
     """log(Z_normalized) / (N_l N_r), principal branch (Z near 1)."""
     if representation == "original":
-        z = z_original(params, cfg, n_nodes=n_nodes)
+        z = z_original(params, cfg)
     elif representation == "lvr":
-        z = z_lvr(params, cfg, n_nodes=n_nodes)
+        z = z_lvr(params, cfg)
     else:
         raise ValueError("representation must be 'original' or 'lvr'")
     if z.value == 0:
         raise DivergentIntegrand("Z evaluated to zero; log undefined")
     return complex(np.log(z.value) / (params.n_l * params.n_r))
-
-
-@dataclass(frozen=True)
-class JacobianReport:
-    passed: bool
-    min_factor: float
-    n_spectra: int
-    n_factors: int
-
-
-def jacobian_positivity_check(params: ModelParams, spectra) -> JacobianReport:
-    """Verify 1 + lam * sum_k a_i^k a_j^(p-1-k) > 0 on sampled spectra.
-
-    Positivity of every factor for real lam > 0 is what lets the Jacobian
-    of the change of variables drop its absolute value.
-    """
-    lam = complex(params.lam)
-    if lam.imag != 0 or lam.real <= 0:
-        raise ValueError("positivity check is defined for real lam > 0")
-    from .lvr_action import matrix_a
-
-    min_factor = math.inf
-    n_factors = 0
-    n_spectra = 0
-    for spec in spectra:
-        a = matrix_a(spec, params)
-        w = 1 + lam.real * _pair_sum(a[:, None], a[None, :], params.p)
-        if (imag := float(np.max(np.abs(w.imag)))) >= 1e-10:
-            raise ToleranceNotMet(f"spectrum {n_spectra}: Jacobian factor imag part {imag:.3e}")
-        min_factor = min(min_factor, float(np.min(w.real)))
-        n_factors += w.size
-        n_spectra += 1
-    return JacobianReport(min_factor > 0, min_factor, n_spectra, n_factors)
 
 
 def z0_closed_form(n: int) -> Fraction:
@@ -453,60 +409,41 @@ def z0_closed_form(n: int) -> Fraction:
     return Fraction(num, n ** (n * n))
 
 
-def measure_self_test(n: int, n_nodes: int | None = None) -> float:
+def measure_self_test(n: int) -> float:
     """Relative error of the quadrature against the closed-form Gaussian
     normalization; a self-test that the Vandermonde^2 measure is right."""
     if not 1 <= n <= 4:
         raise ValueError("self-test covers 1 <= N <= 4")
-    n_nodes = DEFAULT_NODES[n] if n_nodes is None else n_nodes
-    total = float(np.exp(_log_measure(n, n_nodes, 40.0 / n)[1]).sum())
+    total = float(np.exp(_log_measure(n, DEFAULT_NODES[n], 40.0 / n)[1]).sum())
     want = float(z0_closed_form(n))
     return abs(total - want) / want
 
 
-def z_series_fd(p: int, order: int = 2, h: float | None = None, n_points: int = 8) -> list:
+def z_series_fd(p: int, order: int = 2) -> list:
     """Estimate the first Taylor coefficients of Z(lam) at N = 1 by a
-    polynomial fit on nodes lam = h, 2h, ..., n_points*h.
+    polynomial fit on the 8 nodes lam = h, 2h, ..., 8h.
 
     The series is asymptotic (coefficients (pn)!/n!), so h must be small
     enough that the ignored orders stay below the target accuracy; the
-    defaults are tuned for p = 2, 3.  High-precision quadrature avoids
+    steps are tuned for p = 2, 3.  High-precision quadrature avoids
     drowning the fit in roundoff.
     """
     import mpmath  # imported on use: loading it would slow every import of the package
 
-    if h is None:
-        h = {2: 1e-3, 3: 2e-4}.get(p, 1e-4)
-    if order >= n_points:
+    h = {2: 1e-3, 3: 2e-4}.get(p, 1e-4)
+    ks = range(1, 9)
+    if order >= len(ks):
         raise ValueError("need more nodes than extracted orders")
     with mpmath.workdps(40):
         hs = mpmath.mpf(h)
         zs = []
-        for k in range(1, n_points + 1):
+        for k in ks:
             lam = k * hs
             val = mpmath.quad(
                 lambda s: mpmath.exp(-s - lam * s**p), [0, mpmath.inf]
             )
             zs.append(val - 1)
         # solve the Vandermonde system in scaled variable x = lam/h
-        rows = [[mpmath.mpf(k) ** j for j in range(1, n_points + 1)] for k in range(1, n_points + 1)]
+        rows = [[mpmath.mpf(k) ** j for j in ks] for k in ks]
         sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(zs))
         return [float(sol[j - 1] / hs**j) for j in range(1, order + 1)]
-
-
-def zresult_to_json_dict(result: ZResult, params: ModelParams) -> dict:
-    return {
-        "value_re": float(np.real(result.value)),
-        "value_im": float(np.imag(result.value)),
-        "method": result.method,
-        "error": result.error_estimate,
-        "nodes_or_samples": result.n_samples_or_nodes,
-        "seed": result.seed,
-        "params": {
-            "p": params.p,
-            "lam_re": float(np.real(params.lam)),
-            "lam_im": float(np.imag(params.lam)),
-            "n_l": params.n_l,
-            "n_r": params.n_r,
-        },
-    }

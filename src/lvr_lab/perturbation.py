@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeTooLarge, PatternMismatch
+from .errors import DegreeTooLarge
 
 __all__ = [
     "BivariatePoly",
@@ -29,7 +29,6 @@ __all__ = [
     "wick_moment",
     "moment_sd",
     "moment",
-    "sd_reduce",
     "effective_action_series",
     "closed_form_s1",
     "closed_form_s2",
@@ -331,56 +330,6 @@ def moment(tp: TracePolynomial, *, square: bool = False) -> BivariatePoly:
     return out
 
 
-def _sd_rhs(p1: int, pi_powers: tuple, pi_tr0: int, coeff) -> TracePolynomial:
-    out = TracePolynomial.single(
-        TraceMonomial(pi_powers + (p1,), pi_tr0), _coerce_poly(coeff) * BivariatePoly.nl()
-    )
-    for j, pj in enumerate(pi_powers):
-        merged = pi_powers[:j] + pi_powers[j + 1 :] + (p1 + pj - 1,)
-        out = out - TracePolynomial.single(
-            TraceMonomial(merged, pi_tr0), _coerce_poly(coeff) * pj
-        )
-    return out
-
-
-def sd_reduce(expr: TracePolynomial) -> TracePolynomial:
-    """Rewrite sum_{k+l=p1-1} (TrX^k)(TrX^l) * Pi into
-    N * TrX^{p1} * Pi  -  sum_j p_j * TrX^{p1+p_j-1} * (Pi without j).
-
-    The pattern (p1 and the spectator product Pi) is inferred from the
-    expression; PatternMismatch if no consistent reading exists.  Square
-    case: the N prefactor is carried as N_l.
-    """
-    monos = list(expr.items())
-    if not monos:
-        raise PatternMismatch("empty expression")
-    candidates = []
-    for mono, coeff in monos:
-        if mono.tr0 < 1:
-            continue
-        # p1 = 1: pattern is a single monomial Pi * (TrX^0)^2
-        if mono.tr0 >= 2:
-            candidates.append((1, mono.powers, mono.tr0 - 2, coeff))
-        for q in sorted(set(mono.powers), reverse=True):
-            rest = list(mono.powers)
-            rest.remove(q)
-            candidates.append((q + 1, tuple(rest), mono.tr0 - 1, coeff))
-    for p1, pi_powers, pi_tr0, coeff in candidates:
-        unit = TracePolynomial.zero()
-        for k in range(p1):
-            unit = unit + TracePolynomial.single(
-                TraceMonomial(pi_powers + (k, p1 - 1 - k), pi_tr0)
-            )
-        # symmetric k-terms merge, so the observed coefficient is a
-        # multiple of the true prefactor
-        ref_mono = TraceMonomial(pi_powers + (0, p1 - 1), pi_tr0)
-        mult = unit.coeff(ref_mono).terms[0][1]
-        true_coeff = coeff * Fraction(1, mult)
-        if unit.scale(true_coeff) == expr:
-            return _sd_rhs(p1, pi_powers, pi_tr0, true_coeff)
-    raise PatternMismatch("expression does not match a Schwinger-Dyson pattern")
-
-
 # ---------------------------------------------------------------- series
 
 
@@ -530,16 +479,6 @@ class QuarticRow:
 @dataclass(frozen=True)
 class QuarticReport:
     rows: tuple
-
-    def to_csv(self) -> str:
-        lines = ["order,label,coefficient,nl_power,nr_power"]
-        for row in self.rows:
-            for which, poly in (("engine", row.engine), ("reference", row.reference)):
-                for (il, ir), v in poly.terms:
-                    lines.append(
-                        f"{row.order},{which}_{row.interpretation},{v},{il},{ir}"
-                    )
-        return "\n".join(lines) + "\n"
 
 
 def quartic_report() -> QuarticReport:

@@ -34,6 +34,10 @@ class VerifyConfig:
     lam: complex | None = None
     p_max: int = 6
 
+    def __post_init__(self) -> None:
+        if self.samples < 1 or self.workers < 1:
+            raise ValueError("samples and workers must be positive")
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -280,7 +284,7 @@ def run_contour(cfg: VerifyConfig):
         p=2, lam=0.15 * np.exp(1j * (np.pi - 0.8)), n_l=1, n_r=1,
         pacman=lvr_action.PacmanDomain(epsilon=0.5, eta=0.2),
     )
-    audit = contour.cut_sector_audit(pr_audit, contour.make_keyhole(0.1, 3.0, 0.2), samples=256)
+    audit = contour.cut_sector_audit(pr_audit, contour.make_keyhole(0.1, 3.0, 0.2))
     checks.append(_check(
         "contour.cut_sector_audit", {"psi": 0.2, "epsilon": 0.5, "eta": 0.2},
         "compliant geometry passes", f"passed={audit.passed}", 0.0, audit.passed, t0,

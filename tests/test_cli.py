@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from lvr_lab import cli, verify
+from lvr_lab import cli, fuss_catalan, verify
 from lvr_lab.verify import CheckResult
 
 
@@ -92,6 +92,16 @@ def test_moments_csv_residuals_small(capsys):
     assert all(float(line.split(",")[1]) < 1e-12 for line in lines[1:])
 
 
+def test_moments_n_max_past_20_exits_one_before_any_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fuss_catalan, "moment_cross_check", lambda n: calls.append(n) or 0.0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fc", "moments", "--n-max", "25"])
+    # a SystemExit that carries a message exits with status 1
+    assert exc.value.code == "lvr-lab: error: need 0 <= n-max <= 20"
+    assert calls == []
+
+
 # verify
 
 
@@ -110,7 +120,6 @@ def test_verify_fc_json_schema(capsys):
 
 @pytest.mark.parametrize("layer", ["bkar", "contour"])
 def test_verify_json_no_timestamp_is_byte_identical(capsys, layer):
-    # the second contour run serves its T_p rays from the evaluator's cache
     argv = ["verify", layer, "--json", "--no-timestamp", "--seed", "42"]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
@@ -159,6 +168,15 @@ def test_verify_unknown_target_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--samples"])
+def test_verify_rejects_non_positive_size_before_any_check(capsys, monkeypatch, flag):
+    calls = []
+    monkeypatch.setattr(verify, "run_target", lambda target, cfg: calls.append(target) or [])
+    assert cli.main(["verify", "all", flag, "0"]) == 1
+    assert calls == []
+    assert "samples and workers must be positive" in capsys.readouterr().err
 
 
 def test_verify_lambda_forms_exclusive():

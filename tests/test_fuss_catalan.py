@@ -43,6 +43,13 @@ def tree_count_oracle(p, n_max):
     return f
 
 
+def walk_along(ev, z, waypoints):
+    """T_p at z by the evaluator's rescue walk along the waypoints, starting
+    from the series value at the first."""
+    path = [complex(w) for w in waypoints] + [complex(z)]
+    return ev._walk_segments(path, complex(ev._series_eval(np.array([path[0]]))[0]))
+
+
 def test_fc_numbers_match_tree_counts():
     for p in (2, 3, 4, 5):
         oracle = tree_count_oracle(p, 10)
@@ -191,7 +198,7 @@ class TestTpEval:
         for bp in (0.25, 0.25 + 1e-17j):
             calls.clear()
             with pytest.raises(ContinuationFailure):
-                ev.tp_eval_along(0.2 + 0.1j, [0.05, bp, 0.2 + 0.1j])
+                walk_along(ev, 0.2 + 0.1j, [0.05, bp, 0.2 + 0.1j])
 
     def test_mixed_dispatch_consistent_with_scalar(self):
         ev = FcEvaluator(3)
@@ -331,8 +338,8 @@ class TestPathIndependence:
     def test_two_paths_same_value(self):
         ev = FcEvaluator(3)
         z = -3.0 + 0.0j
-        above = ev.tp_eval_along(z, [0.01, 0.01 + 0.5j, -1.0 + 0.5j])
-        below = ev.tp_eval_along(z, [0.01, 0.01 - 0.5j, -1.0 - 0.5j])
+        above = walk_along(ev, z, [0.01, 0.01 + 0.5j, -1.0 + 0.5j])
+        below = walk_along(ev, z, [0.01, 0.01 - 0.5j, -1.0 - 0.5j])
         assert abs(above - below) < 1e-10
         assert abs(above - ev.tp_eval(z)) < 1e-10
 
@@ -340,26 +347,15 @@ class TestPathIndependence:
         ev = FcEvaluator(2)
         z = 30.0 + 2.0j
         direct = ev.tp_eval(z)
-        detour = ev.tp_eval_along(z, [0.02j, 2j, -5 + 2j, -5 + 10j, 30 + 10j])
+        detour = walk_along(ev, z, [0.02j, 2j, -5 + 2j, -5 + 10j, 30 + 10j])
         assert abs(direct - detour) / abs(direct) < 1e-9
 
-    def test_rejects_start_outside_disk(self):
-        ev = FcEvaluator(2)
-        with pytest.raises(ValueError):
-            ev.tp_eval_along(-1.0, [0.2])
-
-    def test_path_across_the_cut_raises(self):
-        # above the cut and back down across it, the walk returned
-        # 1.107+0.729j, a value on another branch, where T_3 is 1.022-0.431j
+    def test_paths_that_avoid_the_cut_agree(self):
+        # below the cut, or across the real axis left of R_p, is the branch
         ev = FcEvaluator(3)
         z = 0.3 - 0.1j
-        with pytest.raises(CutProximity):
-            ev.tp_eval_along(z, [0.01, 0.01 + 0.5j, 0.5 + 0.5j])
-        with pytest.raises(CutProximity):
-            ev.tp_eval_along(z, [0.01, 0.3 + 0.5j * ev.tol_cut, 0.5 - 0.5j])
-        # below the cut, or across the real axis left of R_p, is the branch
         for path in ([0.01, 0.01 - 0.5j, 0.5 - 0.5j], [0.01, 0.01 + 0.5j, -1 + 0.5j]):
-            assert abs(ev.tp_eval_along(z, path) - ev.tp_eval(z)) < 1e-13
+            assert abs(walk_along(ev, z, path) - ev.tp_eval(z)) < 1e-13
 
     def test_radial_walk_stays_on_branch(self):
         # a step of a quarter of the segment used to land on another root
@@ -368,8 +364,8 @@ class TestPathIndependence:
         anchor = 0.35 * ev.cut_start * np.exp(1j * np.angle(z))
         want = ev.tp_eval(z)
         assert abs(want - (0.34002658938501 - 0.36174584072536j)) < 1e-12
-        assert abs(ev.tp_eval_along(z, [anchor]) - want) < 1e-14
-        assert abs(ev.tp_eval_along(z, [0, -1, -1 - 3j, 6 - 3j]) - want) < 1e-14
+        assert abs(walk_along(ev, z, [anchor]) - want) < 1e-14
+        assert abs(walk_along(ev, z, [0, -1, -1 - 3j, 6 - 3j]) - want) < 1e-14
 
     def test_rescue_walk_matches_table_and_closed_form(self):
         for p in (2, 3, 4, 5):
@@ -392,12 +388,12 @@ class TestDerivative:
             ev = FcEvaluator(p)
             for z in (-0.8 + 0.3j, 0.02 + 0.05j, -3.0, 1.5j):
                 fd = (ev.tp_eval(z + h) - ev.tp_eval(z - h)) / (2 * h)
-                assert ev.tp_deriv(z) == pytest.approx(fd, rel=1e-7)
+                assert ev.tp_deriv_many(z)[0] == pytest.approx(fd, rel=1e-7)
 
     def test_branch_point_blowup(self):
         ev = FcEvaluator(2)
         with pytest.raises(BranchPoint):
-            ev.tp_deriv(0.25)
+            ev.tp_deriv_many(0.25)
 
 
 class TestScalarMap:
@@ -438,14 +434,6 @@ class TestScalarMap:
         # point: p = 2, t = 1/4, a = -2 (u = -1, z = R_2)
         with pytest.raises(BranchPoint):
             _a_dt(2, 0.25, np.array([1.0, -2.0]))
-
-    def test_a_du_matches_fd(self):
-        for p in (2, 4):
-            ev = FcEvaluator(p)
-            u, lam = 1.7, 0.08
-            h = 1e-6
-            fd = (ev.a_eval(lam, u + h) - ev.a_eval(lam, u - h)) / (2 * h)
-            assert ev.a_du(lam, u) == pytest.approx(fd, rel=1e-8)
 
     def test_a_at_zero_coupling_is_identity(self):
         ev = FcEvaluator(3)

@@ -15,13 +15,12 @@ from scipy import integrate
 from scipy.special import i1e
 
 from lvr_lab import lve, oracle
-from lvr_lab.errors import DegenerateSpectrum, SizeBound
+from lvr_lab.errors import SizeBound
 from lvr_lab.lve import (
     AmplitudeEstimate,
     CornerWord,
     DecoratedTree,
     Forest,
-    amplitude_to_json_dict,
     amplitude_tree2,
     amplitude_trivial,
     bkar_forest_sum,
@@ -31,9 +30,7 @@ from lvr_lab.lve import (
     enumerate_trees,
     faadibruno_enumerate,
     faadibruno_numeric_check,
-    grad_s_entries,
     lve_partial_sum,
-    trees_to_csv,
     _grads_batch,
     _w_rule,
 )
@@ -131,8 +128,7 @@ def test_coordination_histogram_matches_cayley():
 
 
 def test_decorated_tree_validation():
-    t = DecoratedTree(3, ((0, 1), (2, 1)), ((1, 2), (2, 2)))
-    assert t.coordinations == (1, 2, 1)
+    DecoratedTree(3, ((0, 1), (2, 1)), ((1, 2), (2, 2)))
     with pytest.raises(ValueError):
         DecoratedTree(3, ((0, 1),))  # not spanning
     with pytest.raises(ValueError):
@@ -304,12 +300,18 @@ def test_corner_numeric_rejects_nonsquare():
 # gradients of the action
 
 
+def spectral_grads(params, m):
+    """(dS/dM, dS/dM^dag) of one matrix, entry [a, b] differentiating with
+    respect to that entry, from the batched spectral route."""
+    return _grads_batch(params, m[None], "mdg")[0].T, _grads_batch(params, m[None], "gm")[0].T
+
+
 def test_grad_spectral_matches_fd():
     for p, lam in [(2, 0.1), (3, 0.05), (2, 0.05 * np.exp(0.25j * np.pi))]:
         pr = params_sq(p, lam, 2)
         m = random_m(2, 17)
-        dm_s, dd_s = grad_s_entries(pr, m)
-        dm_f, dd_f = grad_s_entries(pr, m, method="fd")
+        dm_s, dd_s = spectral_grads(pr, m)
+        dm_f, dd_f = lve._grad_fd(pr, m)
         assert np.abs(dm_s - dm_f).max() < 1e-7
         assert np.abs(dd_s - dd_f).max() < 1e-7
 
@@ -319,16 +321,14 @@ def test_grad_conjugation_relation():
     # gradients are conjugate transposes of each other
     pr = params_sq(2, 0.1, 3)
     m = random_m(3, 23)
-    dm, dd = grad_s_entries(pr, m)
+    dm, dd = spectral_grads(pr, m)
     assert np.abs(dm - dd.conj().T).max() < 1e-10
 
 
-def test_grad_degenerate_raises_and_fd_value():
+def test_grad_degenerate_fd_value():
     pr = params_sq(2, 0.1, 2)
     m = 0.8 * np.eye(2, dtype=complex)
-    with pytest.raises(DegenerateSpectrum):
-        grad_s_entries(pr, m)
-    dm, dd = grad_s_entries(pr, m, method="fd")
+    dm, dd = lve._grad_fd(pr, m)
     # hand value: s = 0.64 twice, dS/dM_aa = 0.8 * 4 * g1(s, s)
     a = (-1 + math.sqrt(1 + 4 * 0.1 * 0.64)) / 0.2
     g1 = -0.1 / ((1 + 0.2 * a) * (1 + 0.2 * a))
@@ -416,14 +416,6 @@ def test_n2_gradient_subnormal_gap_takes_finite_differences():
         got = _grads_batch(pr, m, side)
         dm, dd = lve._grad_fd(pr, m[0])
         assert np.array_equal(got[0], (dd if side == "gm" else dm).T)
-
-
-def test_grad_rejects_wrong_shape():
-    pr = params_sq(2, 0.1, 2)
-    with pytest.raises(ValueError):
-        grad_s_entries(pr, np.ones((3, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        grad_s_entries(pr, np.ones((2, 3), dtype=complex))
 
 
 # amplitudes
@@ -617,24 +609,6 @@ def test_amplitude_tree2_deterministic():
     pr = params_sq(2, 0.05, 2)
     cfg = McConfig(n_samples=10000, seed=21, n_workers=2)
     assert amplitude_tree2(pr, cfg).value == amplitude_tree2(pr, cfg).value
-
-
-def test_amplitude_json_record():
-    est = AmplitudeEstimate("tree2", 0.5 - 0.25j, 1e-3, 1000, 7, w_node_check=1e-9)
-    d = amplitude_to_json_dict(est)
-    assert d["tree_id"] == "tree2"
-    assert d["value_re"] == 0.5 and d["value_im"] == -0.25
-    assert d["std_error"] == 1e-3 and d["n_samples"] == 1000 and d["seed"] == 7
-
-
-def test_trees_csv_export():
-    plain = trees_to_csv(enumerate_trees(3))
-    assert plain.startswith("tree_index,edges,decorations\n")
-    assert len(plain.strip().splitlines()) == 4
-    deco = trees_to_csv(enumerate_trees(2, oriented=True, decorated=True))
-    rows = deco.strip().splitlines()[1:]
-    assert len(rows) == 8
-    assert any(">" in r for r in rows)
 
 
 # partial sums

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from lvr_lab import lvr_action, oracle
-from lvr_lab.errors import DivergentIntegrand, QuadratureFailure, ToleranceNotMet
+from lvr_lab.errors import DivergentIntegrand, QuadratureFailure
 from lvr_lab.lve import amplitude_tree2, amplitude_trivial
 from lvr_lab.lvr_action import ModelParams, evaluator
 from lvr_lab.oracle import (
@@ -21,13 +21,11 @@ from lvr_lab.oracle import (
     McConfig,
     _s_of_matrices,
     free_energy,
-    jacobian_positivity_check,
     measure_self_test,
     z0_closed_form,
     z_lvr,
     z_original,
     z_series_fd,
-    zresult_to_json_dict,
 )
 from lvr_lab.perturbation import logz_series
 
@@ -173,32 +171,19 @@ def test_negative_real_part_rejected():
 
 
 def test_jacobian_positivity():
+    # at real lam > 0 every Jacobian factor 1 + lam P_ij is real and at least
+    # 1, so the log _action_logs takes of it is real and nonnegative
     rng = np.random.default_rng(0)
-    spectra = [np.sort(rng.gamma(2.0, 1.0, size=4)) for _ in range(8)]
-    rep = jacobian_positivity_check(ModelParams(p=2, lam=0.5, n_l=4, n_r=4), spectra)
-    assert rep.passed
-    assert rep.min_factor >= 1.0
-    assert rep.n_spectra == 8 and rep.n_factors == 8 * 16
-    big = [np.array([0.1, 1.0, 10.0, 100.0])]
-    rep2 = jacobian_positivity_check(ModelParams(p=4, lam=2.0, n_l=4, n_r=4), big)
-    assert rep2.passed and rep2.min_factor >= 1.0
-    with pytest.raises(ValueError):
-        jacobian_positivity_check(
-            ModelParams(p=2, lam=0.1 + 0.1j, n_l=2, n_r=2), spectra[:1]
-        )
-    with pytest.raises(ValueError):
-        jacobian_positivity_check(ModelParams(p=2, lam=0.0, n_l=2, n_r=2), spectra[:1])
-
-
-def test_jacobian_complex_factor_raises(monkeypatch):
-    real_a = lvr_action.matrix_a
-    monkeypatch.setattr(
-        lvr_action, "matrix_a", lambda spec, params: real_a(spec, params) + 1e-3j
-    )
-    with pytest.raises(ToleranceNotMet, match="imag part"):
-        jacobian_positivity_check(
-            ModelParams(p=2, lam=0.5, n_l=2, n_r=2), [np.array([0.5, 1.5])]
-        )
+    spectra = np.array([np.sort(rng.gamma(2.0, 1.0, size=4)) for _ in range(8)])
+    big = np.array([[0.1, 1.0, 10.0, 100.0]])
+    for pr, batch in (
+        (ModelParams(p=2, lam=0.5, n_l=4, n_r=4), spectra),
+        (ModelParams(p=4, lam=2.0, n_l=4, n_r=4), big),
+    ):
+        log_mat = lvr_action._action_logs(batch, pr)[0]
+        assert log_mat.shape == (len(batch), 4, 4)
+        assert np.max(np.abs(log_mat.imag)) < 1e-10
+        assert np.min(log_mat.real) >= 0.0
 
 
 def principal_log_action(params, s_batch):
@@ -312,27 +297,6 @@ def test_fd_series_extraction():
     d1, d2 = z_series_fd(3)
     assert abs(d1 + 6.0) <= 1e-3 * 6.0
     assert abs(d2 - 360.0) <= 1e-3 * 360.0
-
-
-def test_json_dict_fields():
-    pr = ModelParams(p=2, lam=0.1, n_l=1, n_r=1)
-    d = zresult_to_json_dict(z_original(pr), pr)
-    assert set(d) == {
-        "value_re",
-        "value_im",
-        "method",
-        "error",
-        "nodes_or_samples",
-        "seed",
-        "params",
-    }
-    assert d["method"] == "eigen_quadrature"
-    assert d["seed"] is None
-    assert d["params"] == {"p": 2, "lam_re": 0.1, "lam_im": 0.0, "n_l": 1, "n_r": 1}
-    cfg = McConfig(n_samples=1000, seed=9)
-    dm = zresult_to_json_dict(z_original(pr, cfg), pr)
-    assert dm["method"] == "monte_carlo"
-    assert dm["seed"] == 9 and dm["nodes_or_samples"] == 1000
 
 
 def test_perturbative_bridge():

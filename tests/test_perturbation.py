@@ -5,10 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lvr_lab.errors import DegreeTooLarge, PatternMismatch
+from lvr_lab.errors import DegreeTooLarge
 from lvr_lab.perturbation import (
     BivariatePoly,
     TraceMonomial,
@@ -20,7 +18,6 @@ from lvr_lab.perturbation import (
     moment,
     moment_sd,
     quartic_report,
-    sd_reduce,
     wick_moment,
 )
 
@@ -131,63 +128,6 @@ class TestMomentSd:
         )
 
 
-class TestSdReduce:
-    @staticmethod
-    def pattern(p1, pi_powers=(), pi_tr0=0, coeff=1):
-        out = TracePolynomial.zero()
-        for k in range(p1):
-            out = out + TracePolynomial.single(
-                TraceMonomial(pi_powers + (k, p1 - 1 - k), pi_tr0), coeff
-            )
-        return out
-
-    def test_single_trace_reduction(self):
-        for p in (2, 3, 4):
-            got = sd_reduce(self.pattern(p))
-            want = TracePolynomial.single(TraceMonomial((p,)), NL)
-            assert got == want
-
-    def test_trivial_p1(self):
-        got = sd_reduce(self.pattern(1))
-        assert got == TracePolynomial.single(TraceMonomial((1,)), NL)
-
-    def test_three_trace_reduction(self):
-        got = sd_reduce(self.pattern(3, pi_powers=(2,)))
-        want = TracePolynomial.single(TraceMonomial((3, 2)), NL) - TracePolynomial.single(
-            TraceMonomial((4,)), 2
-        )
-        assert got == want
-        lhs = moment(self.pattern(3, pi_powers=(2,)), square=True)
-        rhs = moment(got, square=True)
-        assert lhs == rhs
-
-    def test_pattern_mismatch(self):
-        with pytest.raises(PatternMismatch):
-            sd_reduce(TracePolynomial.single(TraceMonomial((2,))))
-        with pytest.raises(PatternMismatch):
-            sd_reduce(TracePolynomial.zero())
-        broken = self.pattern(3) + TracePolynomial.single(TraceMonomial((1, 1)), 1)
-        with pytest.raises(PatternMismatch):
-            sd_reduce(broken)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        p1=st.integers(1, 3),
-        pi=st.lists(st.integers(1, 2), max_size=2),
-        tr0=st.integers(0, 1),
-        num=st.integers(-3, 3).filter(lambda x: x != 0),
-    )
-    def test_reduction_preserves_moments(self, p1, pi, tr0, num):
-        expr = self.pattern(p1, tuple(pi), tr0, Fraction(num, 2))
-        reduced = sd_reduce(expr)
-        assert moment(expr, square=True) == moment(reduced, square=True)
-        if p1 - 1 + sum(pi) + p1 <= 8:
-            # cross-engine: the identity also holds under pairing enumeration
-            assert (
-                moment(expr).fold_square() == moment(reduced).fold_square()
-            )
-
-
 class TestEffectiveAction:
     def test_matches_closed_forms(self):
         for p in (2, 3, 4, 5, 6):
@@ -226,7 +166,10 @@ class TestPerturbativeIdentities:
     def test_sd_identity_unsigned_form(self):
         # sum_{k+l=p-1} <TrX^k TrX^l> = N <TrX^p>
         for p in (2, 3, 4, 5, 6):
-            lhs = moment(TestSdReduce.pattern(p), square=True)
+            pairs = TracePolynomial.zero()
+            for k in range(p):
+                pairs = pairs + TracePolynomial.single(TraceMonomial((k, p - 1 - k)))
+            lhs = moment(pairs, square=True)
             assert lhs == NL * moment_sd(TraceMonomial((p,)))
 
     def test_second_order_identity(self):
@@ -305,10 +248,3 @@ class TestQuarticReport:
                 if r.order == order
             }
             assert len(vals) == 1
-
-    def test_csv_emission(self):
-        csv = quartic_report().to_csv()
-        lines = csv.strip().split("\n")
-        assert lines[0] == "order,label,coefficient,nl_power,nr_power"
-        assert "2,engine_raw,5,2,0" in lines
-        assert all(len(line.split(",")) == 5 for line in lines)

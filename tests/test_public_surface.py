@@ -1,0 +1,47 @@
+"""Every public name has a caller in the package: a name in a module's
+__all__ must be referenced by another module of src/lvr_lab, or by its
+own module beyond its definition.  A name only tests call is surface the
+tests keep alive for nobody."""
+
+import ast
+from pathlib import Path
+
+import lvr_lab
+
+SRC = Path(lvr_lab.__file__).parent
+
+
+def public_names(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Names loaded, imported or taken as attributes anywhere in the module;
+    a def, a class statement or an __all__ string is not a reference."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {module: referenced_names(tree) for module, tree in trees.items()}
+    every_ref = set().union(*refs.values())
+    orphans = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in public_names(tree)
+        if name != "__version__" and name not in every_ref
+    ]
+    assert orphans == []
