@@ -19,11 +19,12 @@ The series, summed by Horner's rule, serves |z| < R_p / 2, and the
 negative real axis has its own monotone Newton.  A float64 input below
 R_p / 2 is served in float64, with the bits of its complex route.  Every
 other point starts from the same series while |z| < R_p, and otherwise from
-the series at infinity, T = zeta * sum_k c_k zeta^k with zeta = (-1/z)^(1/p).
-A few Newton steps follow, and their root is kept where the series' error
-bound proves it is T_p(z).  Every other point is redone by a per-point walk
-whose steps are bounded by the distance to the branch point.  No value
-depends on the other points of the call.  The scalar map
+the series at infinity, T = zeta * sum_k c_k zeta^k with zeta = (-1/z)^(1/p),
+then from the series in xi = (1 - s)/(1 + s) and in s = sqrt(1 - z/R_p),
+until Smale's alpha test proves that a few Newton steps from the guess reach
+T_p(z).  Within about 1e-11 of R_p the rounding of z T^p - T + 1 alone keeps
+the test from separating the colliding roots, and ContinuationFailure is
+raised.  No value depends on the other points of the call.  The scalar map
 
     a(lambda, u) = u * T_p(-lambda * u^(p-1))
 
@@ -52,8 +53,7 @@ __all__ = [
     "moment_cross_check",
 ]
 
-_OUTER_TERMS = 40  # c_0 .. c_K of the series at infinity
-_NEWTON_STEPS = 6  # per continuation point
+_NEWTON_STEPS = 6  # per continuation point and guess
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -128,7 +128,7 @@ def _outer_series(p: int) -> tuple[tuple[float, ...], float, float]:
     Beta function give |c_k| rho_p^k <= C k^(-3/2) for every k > K, and the
     sum of k^(-3/2) over k > K is below 2 / sqrt(K + 1/2).
     """
-    n = _OUTER_TERMS
+    n = max(40, 4 * p)  # K: with 40, lips near 1.4 R_p fail the first guess from p = 11
     coeffs = tuple(
         (-1) ** k * math.prod(k + 1 - j * p for j in range(1, k)) / (p**k * math.factorial(k))
         for k in range(n + 1)
@@ -140,14 +140,45 @@ def _outer_series(p: int) -> tuple[tuple[float, ...], float, float]:
     return coeffs, float(cut_start(p)) ** -al, 2 * c / math.sqrt(n + 0.5)
 
 
+@lru_cache(maxsize=None)
+def _near_series(p: int) -> tuple[tuple[tuple[float, ...], float], ...]:
+    """T_p in xi = (1 - s)/(1 + s) and in s = sqrt(1 - z/R_p), each with M
+    bounding its coefficients by Cauchy's estimate and the Fujiwara bound
+    B(r) = 2 max(r^(-1/(p-1)), (2r)^(-1/p)) on the roots at |z| = r, falling in r.
+    d_0 .. d_80 in xi are ratios of integers, as z = 4 R_p xi / (1 + xi)^2 maps
+    |xi| < 1 onto the cut plane: d_m = sum_{n=1}^m FC_p(n) (4 R_p)^n
+    (-1)^(m-n) C(m+n-1, m-n), and M = B(R_p), as |z| >= 4 R_p rho / (1 + rho)^2
+    -> R_p on |xi| = rho -> 1.  b_0 .. b_60 in s have M = B(0.19 R_p) on
+    |s| = 0.9: T is analytic on |s| < 1, where z = R_p (1 - s^2) is not 0, the
+    colliding roots b_0 +- b_1 s + ... being analytic at s = 0.  b_0 = p/(p-1),
+    b_1 < 0 takes T_p, and as R_p p b_0^(p-1) = 1, b_(k+1) drops out of the
+    s^(k+1) coefficient of R_p (1 - s^2) T^p - T + 1, where b_k enters as
+    R_p p (p-1) b_0^(p-2) b_1 b_k."""
+    rp, a, den = float(cut_start(p)), 4 * (p - 1) ** (p - 1), p**p  # 4 R_p = a / den
+    num = [fc_number(p, n) * a**n for n in range(81)]
+    d = [1.0] + [
+        sum(math.comb(2 * m - j - 1, j) * num[m - j] * (-den) ** j for j in range(m)) / den**m
+        for m in range(1, 81)
+    ]
+    b0 = p / (p - 1)
+    b = [b0, -b0 * math.sqrt(2 / (p * (p - 1)))]
+    for k in range(2, 61):
+        power = known = np.append(b, [0.0, 0.0])
+        for _ in range(p - 1):
+            power = np.convolve(power, known)[: k + 2]
+        b.append((power[k - 1] - power[k + 1]) / (p * (p - 1) * b0 ** (p - 2) * b[1]))
+    bound = [2 * max(r ** (-1 / (p - 1)), (2 * r) ** (-1 / p)) for r in (rp, 0.19 * rp)]
+    return (tuple(d), bound[0]), (tuple(b), bound[1])
+
+
 class FcEvaluator:
     """Evaluator for T_p, its derivative, and the scalar map a(lambda, u).
 
     The one parameter is the interaction order p >= 2.  At p = 2 every T
     comes from the closed form 2 / (1 + sqrt(1 - 4z)); at p >= 3 from the
     series, the negative-axis Newton and the certified continuation
-    (_tp_generic), which at p = 2 serve only as its cross-check.  A call
-    changes no state of the evaluator.  The class constants
+    (_tp_generic), which at p = 2 serve only as its cross-check.  No call
+    changes the evaluator or returns an unproved T.  The class constants
     are n_max, the number of cached series coefficients (60 terms give
     series error below 1e-18 anywhere in |z| <= 0.5 * R_p); tol_residual,
     which every returned T meets as |z T^p - T + 1| <= tol_residual, with no
@@ -165,7 +196,6 @@ class FcEvaluator:
         self.p = p
         rp = cut_start(p)
         self.cut_start = float(rp)
-        self._rho0 = 0.35 * self.cut_start  # series anchor radius of the continuation
         self.series_coeffs: list[int] = [fc_number(p, n) for n in range(self.n_max + 1)]
         # scaled coefficients c_n * R_p^n stay O(n^{-3/2}); exact rationals
         # are converted only after the product so nothing overflows
@@ -199,68 +229,6 @@ class FcEvaluator:
 
     # ------------------------------------------------- Newton machinery
 
-    def _newton_scalar(self, z: complex, t0: complex) -> complex:
-        p = self.p
-        t = t0
-        for _ in range(25):
-            f = z * t**p - t + 1
-            if abs(f) < 1e-15:
-                return t
-            fp = p * z * t ** (p - 1) - 1
-            if fp == 0:
-                break
-            t = t - f / fp
-        return t
-
-    def _continue_scalar(self, z: complex) -> complex:
-        """Per-point rescue: walk from the series anchor out to z.
-
-        The path is radial, except within 0.5 rad of the cut, where the
-        radial path would graze the branch point: there it runs out along
-        arg z = +-0.5 and takes a chord to z.
-        """
-        theta = math.atan2(z.imag, z.real)
-        side = math.copysign(max(abs(theta), 0.5), theta)
-        start = self._rho0 * complex(math.cos(side), math.sin(side))
-        t = complex(self._series_eval(np.array([start]))[0])
-        return self._walk_segments([start, abs(z) / self._rho0 * start, z], t)
-
-    def _walk_segments(self, path: list[complex], t: complex) -> complex:
-        """Euler predictor and Newton corrector along a polyline.
-
-        A step is at most a quarter of |z - R_p|, the distance to the branch
-        point, so far out the walk takes log-radius steps, and every step
-        stays well inside the disk where T is analytic around the current
-        point.  A corrector that lands more than half a predictor step from
-        its predictor has jumped to another root of z T^p - T + 1, and the
-        step is halved.  A step too short to move z in float64, as next to
-        R_p, raises ContinuationFailure.
-        """
-        p, rp = self.p, self.cut_start
-        cur, frac = complex(path[0]), 0.1
-        for target in path[1:]:
-            target = complex(target)
-            while cur != target:
-                reach, gap = frac * abs(cur - rp), abs(target - cur)
-                z_try = target if gap <= reach else cur + (target - cur) * (reach / gap)
-                if z_try == cur:
-                    raise ContinuationFailure(
-                        f"continuation cannot move from z={cur} next to R_p (target {target})"
-                    )
-                dt = t**p / (1 - p * cur * t ** (p - 1)) * (z_try - cur)
-                t_try = self._newton_scalar(z_try, t + dt)
-                res = abs(z_try * t_try**p - t_try + 1)
-                if res < self.tol_residual and abs(t_try - t - dt) <= 0.5 * abs(dt) + 1e-12 * abs(t):
-                    cur, t = z_try, t_try
-                    frac = min(1.5 * frac, 0.25)
-                else:
-                    frac *= 0.5
-                    if frac < 1e-9:
-                        raise ContinuationFailure(
-                            f"continuation stalled near z={z_try} (target {target})"
-                        )
-        return t
-
     def _guess(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A guess g at T_p(z), |z| >= R_p/2, and a bound eps on |g - T_p(z)|:
         the series at 0 while |z| < R_p, whose tail is at most (|z|/R_p)^61
@@ -278,7 +246,7 @@ class FcEvaluator:
             zeta = (-1.0 / zs[outer]) ** (1.0 / self.p)
             g[outer] = zeta * _horner(zeta, coeffs)
             a = np.abs(zeta)
-            eps[outer] = a * (a / rho) ** (_OUTER_TERMS + 1) * tail
+            eps[outer] = a * (a / rho) ** len(coeffs) * tail
         return g, eps + 1e-14 * np.abs(g)
 
     def _newton(self, z, t):
@@ -288,27 +256,64 @@ class FcEvaluator:
             t = t - (w * t - t + 1) / (self.p * w - 1)
         return t
 
-    def _continue(self, zs: np.ndarray) -> np.ndarray:
-        """T_p at continuation points: a guess g, Newton to t, a certificate.
+    def _guess_near(self, zs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Guess 2 (k = 0) from the series in w = xi, or 3 (k = 1) in w = s, in
+        its disk q = |w| / r < 1 (r = 1, 0.9), with eps >= |g - T_p(z)| (nan and
+        inf outside): the tail M q^(K+1) / (1 - q), Horner's rounding 2^-51 (K+1)
+        sum |c_k w^k|, 1e-14 / (1 - q) for the float64 b_k (3e-15 off a 50-digit
+        run), and to first order w's rounding times |dT/dw| <= sum k |c_k w^(k-1)|
+        + M (K+1) q^K / (r (1 - q)^2).  As the rounded 1 - z/R_p keeps the sign of
+        its imaginary part, s lies within 2^-49 (|z|/R_p + |s|^2) / |s| of its
+        exact value, and xi within twice that over |1 + s|^2, plus 2^-51."""
+        s = np.sqrt(1 - zs * (1.0 / self.cut_start))
+        w = (1 - s) / (1 + s) if k == 0 else s
+        (coeffs, m), r = _near_series(self.p)[k], (1.0, 0.9)[k]
+        c, n, q = np.abs(coeffs), len(coeffs), np.abs(w) / r
+        g, eps, inside = np.full_like(w, np.nan), np.full(w.shape, np.inf), q < 1
+        if np.any(inside):
+            g[inside], s, q = _horner(w[inside], coeffs), s[inside], q[inside]
+            ds = 2.0**-49 * (np.abs(zs[inside]) / self.cut_start + np.abs(s) ** 2) / np.abs(s)
+            dw = ds if k else 2 * ds / np.abs(1 + s) ** 2 + 2.0**-51
+            dg = _horner(r * q, c[1:] * np.arange(1, n)) + m * n * q ** (n - 1) / r / (1 - q) ** 2
+            eps[inside] = (m * q**n + 1e-14 * k) / (1 - q) + dg * dw + n / 2**51 * _horner(r * q, c)
+        return g, eps
 
-        The other roots T_j of z T^p - T + 1 satisfy prod_j |t - T_j| =
-        |p z t^(p-1) - 1| / |z|, and |t - T_j| <= |t| + B, where
-        B = 2 max(|z|^(-1/(p-1)), |2z|^(-1/p)) is the Fujiwara bound on every
-        root.  So no T_j lies within sep = |p z t^(p-1) - 1| / (|z| (|t| + B)^(p-2))
-        of t, and T_p(z), which lies within |t - g| + eps of t, is t if that
-        is below sep.  Every other point, or one whose residual exceeds
-        tol_residual, is redone by the per-point walk.
-        """
-        p, r = self.p, np.abs(zs)
-        g, eps = self._guess(zs)
-        t = self._newton(zs, g)
+    def _certified(self, zs, t, g, eps) -> np.ndarray:
+        """Where Smale's alpha test proves that T_p(z) is the zero of
+        f(T) = z T^p - T + 1 within 2 beta of t: beta = (|f(t)| + delta_f) /
+        |f'(t)|, delta_f bounding the rounding of f(t), and gamma = max_{2<=k<=p}
+        |z C(p,k) t^(p-k) / f'(t)|^(1/(k-1)).  If alpha = beta gamma <= 0.01, a
+        zero x lies within (1 + alpha - sqrt(1 - 6 alpha + alpha^2)) / (4 gamma)
+        < 2 beta of t, and no other within (5 - sqrt 17) / (4 gamma(x)) of x,
+        gamma(x) <= gamma / ((1 - u)(1 - 4u + 2u^2)) <= 1.1082 gamma for
+        u = gamma |t - x| <= 0.02 (Blum, Cucker, Shub and Smale, Complexity and
+        Real Computation, ch. 8).  Every other zero lies 0.2192 / 1.1082 / gamma
+        - 2 beta >= 0.1778 / gamma or more from t, so T_p(z), within |t - g| +
+        eps of t, is x if that is below 0.17 / gamma."""
+        p, at = self.p, np.abs(t)
         w = zs * t ** (p - 1)
-        bound = 2 * np.maximum(r ** (-1 / (p - 1)), (2 * r) ** (-1 / p))
-        sep = np.abs(p * w - 1) / (r * (np.abs(t) + bound) ** (p - 2))
-        ok = (np.abs(w * t - t + 1) <= self.tol_residual) & (np.abs(t - g) + eps < sep)
-        for i in np.nonzero(~ok)[0]:
-            t[i] = self._continue_scalar(complex(zs[i]))
-        return t
+        f, df = np.abs(w * t - t + 1), np.abs(p * w - 1)
+        beta = (f + 2 * (p + 2) * 2.0**-53 * (np.abs(w * t) + at + 1)) / df
+        ratio, gamma = np.abs(zs) / df, np.zeros(zs.shape)
+        for k in range(2, p + 1):
+            gamma = np.maximum(gamma, (math.comb(p, k) * ratio * at ** (p - k)) ** (1 / (k - 1)))
+        near = np.abs(t - g) + eps < 0.17 / gamma
+        return (f <= self.tol_residual) & (beta * gamma <= 0.01) & near
+
+    def _continue(self, zs: np.ndarray) -> np.ndarray:
+        """T_p at continuation points by _guess, then _guess_near in xi and in s
+        for the points left; Newton overflowing from a later guess fails."""
+        out, left = np.empty_like(zs), np.arange(zs.size)
+        for k in range(3):
+            z = zs[left]
+            with np.errstate(all="ignore" if k else None):
+                g, eps = self._guess(z) if k == 0 else self._guess_near(z, k - 1)
+                t = self._newton(z, g)
+                ok = self._certified(z, t, g, eps)
+            out[left[ok]], left = t[ok], left[~ok]
+            if not left.size:
+                return out
+        raise ContinuationFailure(f"no guess certifies T_p at z={zs[left[0]]}, p={self.p}")
 
     # ------------------------------------------------------- public API
 
@@ -425,12 +430,6 @@ class FcEvaluator:
             us = np.asarray(us, dtype=complex)
             zs = -lam * us ** (self.p - 1)
         return us * self.tp_eval_many(zs)
-
-    def functional_equation_residual(self, lam: complex, us) -> np.ndarray:
-        """|a + lambda a^p - u| for each u; the defining relation of a."""
-        us = np.atleast_1d(np.asarray(us, dtype=complex))
-        a = self.a_eval_many(lam, us)
-        return np.abs(a + lam * a**self.p - us)
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,6 @@ class BivariatePoly:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -208,9 +205,6 @@ class TracePolynomial:
 
     def items(self):
         return self._terms.items()
-
-    def coeff(self, mono: TraceMonomial) -> BivariatePoly:
-        return self._terms.get(mono, BivariatePoly.zero())
 
     def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
         d = dict(self._terms)

@@ -37,6 +37,10 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if self.samples < 1 or self.workers < 1:
             raise ValueError("samples and workers must be positive")
+        if self.p_max < 2 or (self.p is not None and self.p < 2):
+            raise ValueError("p and p_max must be at least 2")
+        if self.n is not None and not 1 <= self.n <= 4:
+            raise ValueError("N must lie in 1..4")
 
 
 @dataclass(frozen=True)

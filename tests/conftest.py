@@ -1,8 +1,11 @@
 """Shared test fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 
+from lvr_lab.errors import ContinuationFailure
 from lvr_lab.lvr_action import evaluator
 
 
@@ -32,3 +35,83 @@ def _homotopy_logs(s_batch, params):
 @pytest.fixture(scope="session")
 def homotopy_logs():
     return _homotopy_logs
+
+
+class RescueWalk:
+    """Reference T_p, independent of the certified continuation: an Euler
+    predictor and Newton corrector walked point by point from the series
+    disk along a polyline, in complex scalars."""
+
+    def __init__(self, ev):
+        self.ev = ev
+
+    def newton(self, z, t0):
+        p, t = self.ev.p, t0
+        for _ in range(25):
+            f = z * t**p - t + 1
+            if abs(f) < 1e-15:
+                return t
+            fp = p * z * t ** (p - 1) - 1
+            if fp == 0:
+                break
+            t = t - f / fp
+        return t
+
+    def at(self, z):
+        """T_p(z) by a walk from the anchor 0.35 R_p.  The path is radial,
+        except within 0.5 rad of the cut, where the radial path would graze
+        the branch point: there it runs out along arg z = +-0.5 and takes a
+        chord to z."""
+        z = complex(z)
+        theta = math.atan2(z.imag, z.real)
+        side = math.copysign(max(abs(theta), 0.5), theta)
+        rho0 = 0.35 * self.ev.cut_start
+        start = rho0 * complex(math.cos(side), math.sin(side))
+        return self.along(z, [start, abs(z) / rho0 * start])
+
+    def along(self, z, waypoints):
+        """T_p at z by the walk along the waypoints, from the series value
+        at the first."""
+        path = [complex(w) for w in waypoints] + [complex(z)]
+        return self.segments(path, complex(self.ev._series_eval(np.array([path[0]]))[0]))
+
+    def segments(self, path, t):
+        """The walk along a polyline from the value t at its first vertex.
+
+        A step is at most a quarter of |z - R_p|, the distance to the branch
+        point, so far out the walk takes log-radius steps, and every step
+        stays well inside the disk where T is analytic around the current
+        point.  A corrector that lands more than half a predictor step from
+        its predictor has jumped to another root of z T^p - T + 1, and the
+        step is halved.  A step too short to move z in float64, as next to
+        R_p, raises ContinuationFailure.
+        """
+        p, rp = self.ev.p, self.ev.cut_start
+        cur, frac = complex(path[0]), 0.1
+        for target in path[1:]:
+            target = complex(target)
+            while cur != target:
+                reach, gap = frac * abs(cur - rp), abs(target - cur)
+                z_try = target if gap <= reach else cur + (target - cur) * (reach / gap)
+                if z_try == cur:
+                    raise ContinuationFailure(
+                        f"continuation cannot move from z={cur} next to R_p (target {target})"
+                    )
+                dt = t**p / (1 - p * cur * t ** (p - 1)) * (z_try - cur)
+                t_try = self.newton(z_try, t + dt)
+                res = abs(z_try * t_try**p - t_try + 1)
+                if res < self.ev.tol_residual and abs(t_try - t - dt) <= 0.5 * abs(dt) + 1e-12 * abs(t):
+                    cur, t = z_try, t_try
+                    frac = min(1.5 * frac, 0.25)
+                else:
+                    frac *= 0.5
+                    if frac < 1e-9:
+                        raise ContinuationFailure(
+                            f"continuation stalled near z={z_try} (target {target})"
+                        )
+        return t
+
+
+@pytest.fixture(scope="session")
+def rescue_walk():
+    return RescueWalk

@@ -179,6 +179,23 @@ def test_verify_rejects_non_positive_size_before_any_check(capsys, monkeypatch, 
     assert "samples and workers must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "target, flags, message",
+    [
+        ("perturb", ["--p-max", "1"], "p and p_max must be at least 2"),
+        ("all", ["--p", "1"], "p and p_max must be at least 2"),
+        ("oracle", ["--N", "0"], "N must lie in 1..4"),
+        ("oracle", ["--N", "5"], "N must lie in 1..4"),
+    ],
+)
+def test_verify_rejects_bad_focus_before_any_check(capsys, monkeypatch, target, flags, message):
+    calls = []
+    monkeypatch.setattr(verify, "run_target", lambda target, cfg: calls.append(target) or [])
+    assert cli.main(["verify", target, *flags]) == 1
+    assert calls == []
+    assert message in capsys.readouterr().err
+
+
 def test_verify_lambda_forms_exclusive():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "oracle", "--lambda", "0.1,0", "--lambda-polar", "0.1,0"])

@@ -43,13 +43,6 @@ def tree_count_oracle(p, n_max):
     return f
 
 
-def walk_along(ev, z, waypoints):
-    """T_p at z by the evaluator's rescue walk along the waypoints, starting
-    from the series value at the first."""
-    path = [complex(w) for w in waypoints] + [complex(z)]
-    return ev._walk_segments(path, complex(ev._series_eval(np.array([path[0]]))[0]))
-
-
 def test_fc_numbers_match_tree_counts():
     for p in (2, 3, 4, 5):
         oracle = tree_count_oracle(p, 10)
@@ -178,19 +171,19 @@ class TestTpEval:
         with pytest.raises(CutProximity):
             FcEvaluator(2).tp_eval(0.25 + 5e-10)
 
-    def test_walk_that_cannot_move_raises(self, monkeypatch):
+    def test_walk_that_cannot_move_raises(self, monkeypatch, rescue_walk):
         # a step shorter than an ulp of z was accepted without moving, and the
-        # walk looped for ever; the cap on Newton solves turns a loop into a
-        # failure instead of a hang
+        # reference walk looped for ever; the cap on Newton solves turns a
+        # loop into a failure instead of a hang
         calls = []
-        newton = FcEvaluator._newton_scalar
+        newton = rescue_walk.newton
 
         def capped(self, z, t0):
             calls.append(z)
             assert len(calls) < 100_000, "the walk does not end"
             return newton(self, z, t0)
 
-        monkeypatch.setattr(FcEvaluator, "_newton_scalar", capped)
+        monkeypatch.setattr(rescue_walk, "newton", capped)
         ev = FcEvaluator(2)
         with pytest.raises(ContinuationFailure):
             # the generic route: tp_eval takes the closed form at p = 2
@@ -198,7 +191,15 @@ class TestTpEval:
         for bp in (0.25, 0.25 + 1e-17j):
             calls.clear()
             with pytest.raises(ContinuationFailure):
-                walk_along(ev, 0.2 + 0.1j, [0.05, bp, 0.2 + 0.1j])
+                rescue_walk(ev).along(0.2 + 0.1j, [0.05, bp, 0.2 + 0.1j])
+
+    def test_point_next_to_branch_point_raises(self):
+        # 1e-14 from R_3 the colliding roots lie ~1e-7 apart, and the rounding
+        # of z T^p - T + 1 alone keeps the alpha test from separating them
+        ev = FcEvaluator(3)
+        z = ev.cut_start * (1 - 1e-14)
+        with pytest.raises(ContinuationFailure, match="p=3"):
+            ev.tp_eval_many(np.array([z, 0.5 * z, 2j * z]))
 
     def test_mixed_dispatch_consistent_with_scalar(self):
         ev = FcEvaluator(3)
@@ -278,7 +279,7 @@ class TestRayTable:
     def test_call_changes_no_evaluator_state(self):
         ev = FcEvaluator(3)
         before = copy.deepcopy(vars(ev))
-        # the Monte Carlo ray, both series' guesses and a rescue walk
+        # the Monte Carlo ray, both series' guesses and the two later guesses
         zs = np.concatenate([mc_ray_points(ev, 500, seed=8), [0.1 + 0.05j, 0.1 + 0.2j, 0.15 + 1e-4j]])
         first = ev.tp_eval_many(zs)
         assert vars(ev).keys() == before.keys()
@@ -288,23 +289,39 @@ class TestRayTable:
     def test_forced_fallback_is_rescued(self, monkeypatch):
         ev = FcEvaluator(2)
         zs = np.concatenate([mc_ray_points(ev, 40, seed=3), [3.0 + 0.1j, -7.0 - 2.0j]])
-        rescued = []
-        scalar = FcEvaluator._continue_scalar
-
-        def spy(self, z):
-            rescued.append(z)
-            return scalar(self, z)
-
-        monkeypatch.setattr(FcEvaluator, "_continue_scalar", spy)
-        # infinite tail bounds: no point is certified, inside R_p or out
+        # infinite tail bounds: the first guess certifies no point, inside R_p or out
         outer_series = fuss_catalan._outer_series
         monkeypatch.setattr(fuss_catalan, "_outer_series", lambda p: outer_series(p)[:2] + (math.inf,))
         monkeypatch.setattr(ev, "_inner_tail", math.inf)
         assert np.any(np.abs(zs) < ev.cut_start) and np.any(np.abs(zs) > ev.cut_start)
-        got = ev._tp_generic(zs)  # tp_eval_many takes the closed form at p = 2
-        assert rescued == [complex(z) for z in zs]
-        want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
-        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+        assert not np.any(np.isfinite(ev._guess(zs)[1]))
+        # tp_eval_many takes the closed form at p = 2
+        served = np.delete(zs, -2)
+        want = (1 - np.sqrt(1 - 4 * served)) / (2 * served)
+        assert np.max(np.abs(ev._tp_generic(served) - want) / np.abs(want)) < 1e-13
+        # 0.033 rad off the cut at 12 R_2, |xi| = 0.99 leaves the conformal
+        # series too coarse, and |s| = 3.3 lies outside the Puiseux disk: only
+        # the first guess serves this point (test_first_guess_certifies_the_lips)
+        with pytest.raises(ContinuationFailure):
+            ev._tp_generic(zs[-2:-1])
+
+    def test_first_guess_certifies_the_lips(self):
+        # no later guess reaches a lip far from R_p, where 1 - |xi| is about
+        # the angle over sqrt(|z|/R_p); the first guess serves the lips from
+        # 1.4 R_p out.  With 41 terms at infinity, not 4p, p = 11 and 12 fail
+        # it up to 1.41 and 1.46 R_p
+        rng = np.random.default_rng(12)
+        for p in range(2, 13):
+            ev = FcEvaluator(p)
+            radii = np.concatenate([np.linspace(1.4, 1.6, 100), 10.0 ** rng.uniform(0.2, 4, 100)])
+            lip = 10.0 ** rng.uniform(-7, -2, 200) * rng.choice([-1.0, 1.0], 200)
+            zs = ev.cut_start * radii * np.exp(1j * lip)
+            if p == 2:
+                zs = np.append(zs, 3.0 + 0.1j)
+                want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
+                assert np.max(np.abs(ev._tp_generic(zs) - want) / np.abs(want)) < 1e-13
+            g, eps = ev._guess(zs)
+            assert np.all(ev._certified(zs, ev._newton(zs, g), g, eps))
 
     def test_newton_on_another_root_is_never_certified(self, monkeypatch):
         # y(s) solves y^p + s y = 1 for |s| < rho_p, so with zeta^p = -1/z every
@@ -317,63 +334,65 @@ class TestRayTable:
             radii = ev.cut_start * 10.0 ** rng.uniform(np.log10(2.0**p), 8, 50)
             zs = radii * np.exp(1j * rng.uniform(0.05, 2 * np.pi - 0.05, 50))
             want = ev.tp_eval_many(zs)
-            zeta = (-1 / zs) ** (1 / p)
             for m in range(1, p):
-                s = zeta * np.exp(2j * np.pi * m / p)
-                other = s * np.polynomial.polynomial.polyval(s, coeffs)
-                assert np.all(np.abs(other - want) > 1e-3 * np.abs(want))
-                rescued = []
-                scalar = FcEvaluator._continue_scalar
-                monkeypatch.setattr(FcEvaluator, "_newton", lambda self, z, t: newton(self, z, other))
+
+                def other_root(z):
+                    s = (-1 / z) ** (1 / p) * np.exp(2j * np.pi * m / p)
+                    return s * np.polynomial.polynomial.polyval(s, coeffs)
+
+                assert np.all(np.abs(other_root(zs) - want) > 1e-3 * np.abs(want))
+                # Newton lands on the other root from every guess
                 monkeypatch.setattr(
-                    FcEvaluator, "_continue_scalar", lambda self, z: rescued.append(z) or scalar(self, z)
+                    FcEvaluator, "_newton", lambda self, z, t: newton(self, z, other_root(z))
                 )
-                got = ev.tp_eval_many(zs)
+                for z in zs:
+                    with pytest.raises(ContinuationFailure, match=f"p={p}"):
+                        ev.tp_eval_many(np.array([z]))
                 monkeypatch.undo()
-                assert rescued == [complex(z) for z in zs]
-                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
 class TestPathIndependence:
-    def test_two_paths_same_value(self):
+    def test_two_paths_same_value(self, rescue_walk):
         ev = FcEvaluator(3)
+        walk = rescue_walk(ev)
         z = -3.0 + 0.0j
-        above = walk_along(ev, z, [0.01, 0.01 + 0.5j, -1.0 + 0.5j])
-        below = walk_along(ev, z, [0.01, 0.01 - 0.5j, -1.0 - 0.5j])
+        above = walk.along(z, [0.01, 0.01 + 0.5j, -1.0 + 0.5j])
+        below = walk.along(z, [0.01, 0.01 - 0.5j, -1.0 - 0.5j])
         assert abs(above - below) < 1e-10
         assert abs(above - ev.tp_eval(z)) < 1e-10
 
-    def test_far_point_detour(self):
+    def test_far_point_detour(self, rescue_walk):
         ev = FcEvaluator(2)
         z = 30.0 + 2.0j
         direct = ev.tp_eval(z)
-        detour = walk_along(ev, z, [0.02j, 2j, -5 + 2j, -5 + 10j, 30 + 10j])
+        detour = rescue_walk(ev).along(z, [0.02j, 2j, -5 + 2j, -5 + 10j, 30 + 10j])
         assert abs(direct - detour) / abs(direct) < 1e-9
 
-    def test_paths_that_avoid_the_cut_agree(self):
+    def test_paths_that_avoid_the_cut_agree(self, rescue_walk):
         # below the cut, or across the real axis left of R_p, is the branch
         ev = FcEvaluator(3)
         z = 0.3 - 0.1j
         for path in ([0.01, 0.01 - 0.5j, 0.5 - 0.5j], [0.01, 0.01 + 0.5j, -1 + 0.5j]):
-            assert abs(walk_along(ev, z, path) - ev.tp_eval(z)) < 1e-13
+            assert abs(rescue_walk(ev).along(z, path) - ev.tp_eval(z)) < 1e-13
 
-    def test_radial_walk_stays_on_branch(self):
+    def test_radial_walk_stays_on_branch(self, rescue_walk):
         # a step of a quarter of the segment used to land on another root
         ev = FcEvaluator(3)
+        walk = rescue_walk(ev)
         z = 6.038346879498281 - 1.1686860925485123j
         anchor = 0.35 * ev.cut_start * np.exp(1j * np.angle(z))
         want = ev.tp_eval(z)
         assert abs(want - (0.34002658938501 - 0.36174584072536j)) < 1e-12
-        assert abs(walk_along(ev, z, [anchor]) - want) < 1e-14
-        assert abs(walk_along(ev, z, [0, -1, -1 - 3j, 6 - 3j]) - want) < 1e-14
+        assert abs(walk.along(z, [anchor]) - want) < 1e-14
+        assert abs(walk.along(z, [0, -1, -1 - 3j, 6 - 3j]) - want) < 1e-14
 
-    def test_rescue_walk_matches_table_and_closed_form(self):
+    def test_rescue_walk_matches_table_and_closed_form(self, rescue_walk):
         for p in (2, 3, 4, 5):
             ev = FcEvaluator(p)
             rng = np.random.default_rng(100 + p)
             radii = 10.0 ** rng.uniform(np.log10(0.5 * ev.cut_start), 1.5, 400)
             zs = radii * np.exp(1j * rng.uniform(0.02, 2 * np.pi - 0.02, 400))
-            walk = np.array([ev._continue_scalar(complex(z)) for z in zs])
+            walk = np.array([rescue_walk(ev).at(z) for z in zs])
             if p == 2:
                 want = (1 - np.sqrt(1 - 4 * zs)) / (2 * zs)
             else:
@@ -403,7 +422,8 @@ class TestScalarMap:
             rng = np.random.default_rng(p + 40)
             us = rng.uniform(0, 3, 50) + 1j * rng.uniform(-0.2, 0.2, 50)
             for lam in (0.1, 0.03 + 0.04j, -0.02 + 0.05j):
-                assert np.max(ev.functional_equation_residual(lam, us)) < 1e-10
+                a = ev.a_eval_many(lam, us)
+                assert np.max(np.abs(a + lam * a**p - us)) < 1e-10
 
     def test_frozen_value_p2(self):
         ev = FcEvaluator(2)
@@ -522,7 +542,7 @@ def test_p2_closed_form_is_the_generic_route(log_r, where, seed):
     where=st.sampled_from(["plane", "upper lip", "lower lip", "annulus", "far"]),
     seed=st.integers(0, 10**6),
 )
-def test_guess_error_is_within_its_bound(p, where, seed):
+def test_guess_error_is_within_its_bound(rescue_walk, p, where, seed):
     # |z| from R_p/2 to 1e14 R_p; the annulus is R_p/2 .. 2^p R_p, and the
     # lips lie 1e-8 to 1e-2 rad off the cut; the walk is the reference
     ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
@@ -534,8 +554,107 @@ def test_guess_error_is_within_its_bound(p, where, seed):
     theta = {"upper lip": lip, "lower lip": -lip}.get(where, rng.uniform(-np.pi, np.pi, 20))
     zs = ev.cut_start * 10.0 ** rng.uniform(lo, hi, 20) * np.exp(1j * theta)
     g, eps = ev._guess(zs)
-    want = np.array([ev._continue_scalar(complex(z)) for z in zs])
+    want = np.array([rescue_walk(ev).at(z) for z in zs])
     assert np.all(np.abs(g - want) <= eps)
+
+
+def cut_plane_points(ev, where, rng, n):
+    """n points of the cut plane off the series disk: the plane out to
+    1e4 R_p, the lips 1e-7 to 1e-2 rad off the cut, the annulus R_p/2 ..
+    2^p R_p, or |1 - z/R_p| from 1e-10 to 1, none within tol_cut of the cut."""
+    rp = ev.cut_start
+    if where == "near R_p":
+        shift = 10.0 ** rng.uniform(-10.0, 0.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        zs = rp * (1 - shift)
+        return zs[((zs.real < rp) | (np.abs(zs.imag) > ev.tol_cut)) & (np.abs(zs) >= 0.5 * rp)]
+    hi = ev.p * math.log10(2) if where == "annulus" else 4.0
+    lip = 10.0 ** rng.uniform(-7.0, -2.0, n)
+    theta = {"upper lip": lip, "lower lip": -lip}.get(where, rng.uniform(-np.pi, np.pi, n))
+    return rp * 10.0 ** rng.uniform(-math.log10(2), hi, n) * np.exp(1j * theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(3, 12),
+    where=st.sampled_from(["plane", "upper lip", "lower lip", "annulus", "near R_p"]),
+    seed=st.integers(0, 10**6),
+)
+def test_every_continuation_point_is_certified(rescue_walk, p, where, seed):
+    # no point raises, and each value is the walk's to 1e-13 times the
+    # condition number |1 - z/R_p|^(-1/2) of T_p where it exceeds 1
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    zs = cut_plane_points(ev, where, np.random.default_rng(seed), 8)
+    got = ev.tp_eval_many(zs)
+    want = np.array([rescue_walk(ev).at(z) for z in zs])
+    cond = np.maximum(1.0, np.abs(1 - zs / ev.cut_start) ** -0.5)
+    assert np.all(np.abs(got - want) <= 1e-13 * cond * np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(3, 8),
+    where=st.sampled_from(["plane", "upper lip", "lower lip", "annulus", "near R_p"]),
+    seed=st.integers(0, 10**6),
+)
+def test_later_guess_errors_are_within_their_bounds(rescue_walk, p, where, seed):
+    # inside each disk; near R_p only down to |1 - z/R_p| = 1e-3, where the
+    # polished walk's own error stays below the guesses' rounding allowance
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    zs = cut_plane_points(ev, where, np.random.default_rng(seed), 20)
+    zs = zs[np.abs(1 - zs / ev.cut_start) >= 1e-3]
+    want = np.array([rescue_walk(ev).at(z) for z in zs])
+    for _ in range(2):  # the walk's Newton stops at |f| < 1e-15
+        want = want - (zs * want**p - want + 1) / (p * zs * want ** (p - 1) - 1)
+    for k in (0, 1):
+        g, eps = ev._guess_near(zs, k)
+        inside = np.isfinite(eps)
+        assert np.all(np.abs(g - want)[inside] <= eps[inside])
+
+
+@pytest.mark.parametrize("p", [3, 8])
+def test_puiseux_error_next_to_branch_point_is_within_its_bound(p):
+    # |1 - z/R_p| from 1e-12 to 1e-4, where the rounding of s, about
+    # |b_1| 2^-52 / |s|, is most of g's error; the reference is the root
+    # of the float z polished at 50 digits from g
+    import mpmath  # a test-only import: the package loads mpmath only on use
+
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    rng = np.random.default_rng(30 + p)
+    shift = 10.0 ** rng.uniform(-12, -4, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    zs = ev.cut_start * (1 - shift)
+    zs = zs[(zs.real < ev.cut_start) | (np.abs(zs.imag) > ev.tol_cut)]
+    g, eps = ev._guess_near(zs, 1)
+    with mpmath.workdps(50):
+        want = np.array(
+            [
+                complex(mpmath.findroot(lambda t: mpmath.mpc(z) * t**p - t + 1, mpmath.mpc(t0)))
+                for z, t0 in zip(zs, g)
+            ]
+        )
+    assert np.all(np.abs(g - want) <= eps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8, 12])
+def test_puiseux_coefficients_match_50_digit_recurrence(p):
+    import mpmath  # a test-only import: the package loads mpmath only on use
+
+    got, bound = fuss_catalan._near_series(p)[1]
+    with mpmath.workdps(50):
+        b0 = mpmath.mpf(p) / (p - 1)
+        b = [b0, -b0 * mpmath.sqrt(mpmath.mpf(2) / (p * (p - 1)))]
+        lin = p * (p - 1) * b0 ** (p - 2) * b[1]
+        for k in range(2, len(got)):
+            known = b + [mpmath.mpf(0)] * 2
+            power = known
+            for _ in range(p - 1):
+                power = [
+                    mpmath.fsum(power[i] * known[j - i] for i in range(j + 1)) for j in range(k + 2)
+                ]
+            b.append((power[k - 1] - power[k + 1]) / lin)
+        want = np.array([float(x) for x in b])
+    assert np.all(np.abs(np.array(got) - want) <= 1e-14)
+    # Cauchy's estimate on |s| = 0.9
+    assert np.all(np.abs(want) <= bound * 0.9 ** -np.arange(want.size))
 
 
 def polyval_series(ev, zs):

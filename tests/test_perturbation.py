@@ -29,7 +29,7 @@ class TestBivariatePoly:
     def test_arithmetic(self):
         p = NL * NL + 2 * NR - NL * NL
         assert p == 2 * NR
-        assert (p - 2 * NR).is_zero()
+        assert not (p - 2 * NR)
         assert not BivariatePoly.zero()
         assert str(BivariatePoly.zero()) == "0"
 
@@ -137,12 +137,13 @@ class TestEffectiveAction:
 
     def test_p3_explicit(self):
         s1, s2 = effective_action_series(3, 2)
-        assert s1.coeff(TraceMonomial((2,))) == -(NL + NR)
-        assert s1.coeff(TraceMonomial((1, 1))) == BivariatePoly.const(-1)
+        c1, c2 = dict(s1.items()), dict(s2.items())
+        assert c1[TraceMonomial((2,))] == -(NL + NR)
+        assert c1[TraceMonomial((1, 1))] == BivariatePoly.const(-1)
         assert len(s1) == 2
-        assert s2.coeff(TraceMonomial((4,))) == (NL + NR) * Fraction(5, 2)
-        assert s2.coeff(TraceMonomial((3, 1))) == BivariatePoly.const(4)
-        assert s2.coeff(TraceMonomial((2, 2))) == BivariatePoly.const(Fraction(3, 2))
+        assert c2[TraceMonomial((4,))] == (NL + NR) * Fraction(5, 2)
+        assert c2[TraceMonomial((3, 1))] == BivariatePoly.const(4)
+        assert c2[TraceMonomial((2, 2))] == BivariatePoly.const(Fraction(3, 2))
 
     def test_p2_boundary_handling(self):
         # for p = 2 the interior sum is empty and only the boundary

@@ -45,3 +45,33 @@ def test_every_public_name_has_a_caller_in_the_package():
         if name != "__version__" and name not in every_ref
     ]
     assert orphans == []
+
+
+def public_methods(tree: ast.Module) -> list:
+    """(class, method) for each def without a leading underscore in the
+    body of a class the module lists in __all__."""
+    names = set(public_names(tree))
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in names
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    attrs = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    orphans = [
+        f"{module}.{cls}.{method}"
+        for module, tree in trees.items()
+        for cls, method in public_methods(tree)
+        if method not in attrs
+    ]
+    assert orphans == []
