@@ -24,8 +24,11 @@ from .lvr_action import ModelParams, grad_spectral_many
 from .oracle import (
     McConfig,
     _controlled_mean,
+    _gram,
     _mc_mean,
     _s_of_matrices,
+    _spectra,
+    _spectrum2,
     _vertex_controls,
     _vertex_rows,
 )
@@ -538,28 +541,28 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     "mdg"), where G = dS/dX has the eigenvectors of X = M M^dag and the
     eigenvalues h = grad_spectral_many(spectrum of X).
 
-    dS/dM^dag_{ab} = (G M)_{ba} and dS/dM_{ab} = (M^dag G)_{ba}.  At N = 2,
-    with eigenvalues t -+ r, G = c I + beta (X - t I) for c = (h1 + h2)/2
-    and beta = (h2 - h1)/(2 r), written out entry by entry with no
-    eigenvectors; other N take the LAPACK eigenbasis.  Samples with nearly
-    coincident eigenvalues fall back to entrywise finite differences, where
-    the eigenbasis is noise-sensitive and beta divides by a vanishing gap.
+    dS/dM^dag_{ab} = (G M)_{ba} and dS/dM_{ab} = (M^dag G)_{ba}.  At N = 1,
+    G = h.  At N = 2, with eigenvalues t -+ r, G = c I + beta (X - t I) for
+    c = (h1 + h2)/2 and beta = (h2 - h1)/(2 r), written out entry by entry
+    from oracle._gram and oracle._spectrum2 with no eigenvectors.  Larger N
+    take the LAPACK eigenbasis.  Samples with nearly coincident
+    eigenvalues fall back to entrywise finite differences, where the
+    eigenbasis is noise-sensitive and beta divides by a vanishing gap.
     """
+    if m.shape[-1] == 1:
+        h = grad_spectral_many(_spectra(m), params)
+        return h[:, :, None] * (m if side == "gm" else m.conj())
     if m.shape[-1] == 2:
         m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-        x00 = (m00 * m00.conj() + m01 * m01.conj()).real
-        x11 = (m10 * m10.conj() + m11 * m11.conj()).real
-        b = m00 * m10.conj() + m01 * m11.conj()
-        t, half = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
-        r = np.hypot(half, np.abs(b))
-        vals = np.clip(np.stack([t - r, t + r], axis=1), 0.0, None)
+        x = _gram(m)
+        vals, half, r = _spectrum2(x)
         bad = _near_degenerate(vals)
         h = grad_spectral_many(vals, params)
         c = 0.5 * (h[:, 0] + h[:, 1])
         # finite-difference samples are overwritten below; a subnormal r
         # there would overflow the quotient
         beta = (h[:, 1] - h[:, 0]) / np.where(bad, 1.0, 2.0 * r)
-        g = (c + beta * half, beta * b, beta * b.conj(), c - beta * half)
+        g = (c + beta * half, beta * x[0][1], beta * x[1][0], c - beta * half)
         if side == "gm":
             (l0, l1, l2, l3), (r0, r1, r2, r3) = g, (m00, m01, m10, m11)
         else:

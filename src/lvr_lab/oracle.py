@@ -16,6 +16,13 @@ Both routes take the logs of the loop vertex action from
 lvr_action._action_logs: the quadrature as one table over node pairs (at
 N = 1, one node per spectrum), the Monte Carlo samples through action_s_many.
 
+The samplers' small-matrix algebra runs entry by entry over the batch,
+with no per-matrix BLAS or LAPACK call: _gram gives X = M M^dag as one
+(batch,) array per entry, _trace_power gives Tr X^p from those entries,
+and _spectra reads the spectrum off them at N_l <= 2 (X_00, and t -+ r
+from _spectrum2).  From N_l = 3 the spectrum is LAPACK's eigvalsh.
+lve._grads_batch takes its N = 2 gradient from the same entries and t -+ r.
+
 _mc_mean is the one Monte Carlo driver of the package.  The oracle (RNG key
 (seed,)), the LVE vertex amplitude (key (seed, 2)) and the one-edge tree
 amplitude (key (seed, 1)) each pass it a kernel; so do the pilot streams
@@ -48,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegrand, QuadratureFailure
-from .lvr_action import ModelParams, _action_logs, action_s_many
+from .lvr_action import ModelParams, _action_logs, _left_sum, action_s_many
 from .perturbation import TraceMonomial, TracePolynomial, closed_form_s1, closed_form_s2, moment
 
 __all__ = [
@@ -205,9 +212,76 @@ def _quadrature_z(params: ModelParams, mode: str) -> ZResult:
     return ZResult(value, "eigen_quadrature", err, n_nodes**params.n_l)
 
 
+def _gram(m: np.ndarray) -> list:
+    """X = M M^dag entry by entry for a (batch, N_l, N_r) matrix array.
+
+    x[i][k] is X_ik as a (batch,) array: real on the diagonal, complex off
+    it, with X_ki = conj(X_ik).  The products are (v * v.conj()).real and
+    a * b.conj(), summed over the N_r columns left to right.
+    """
+    rows = np.ascontiguousarray(m.transpose(1, 2, 0))
+    conj = rows.conj()
+    squares = (rows * conj).real
+    n = len(rows)
+    x = [[None] * n for _ in range(n)]
+    for i in range(n):
+        x[i][i] = _left_sum(squares[i])
+        for k in range(i + 1, n):
+            x[i][k] = _left_sum(rows[i] * conj[k])
+            x[k][i] = x[i][k].conj()
+    return x
+
+
+def _hermitian_product(a: list, b: list) -> list:
+    """A B in _gram's entries, for A and B powers of one Hermitian X: the
+    product is Hermitian, so only its upper triangle is summed."""
+    n = len(a)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = _left_sum([a[i][j] * b[j][i] for j in range(n)]).real
+        for k in range(i + 1, n):
+            out[i][k] = _left_sum([a[i][j] * b[j][k] for j in range(n)])
+            out[k][i] = out[i][k].conj()
+    return out
+
+
+def _trace_power(x: list, p: int) -> np.ndarray:
+    """Tr X^p per sample, real, from _gram's entries of X.
+
+    With h = p // 2, Tr X^p = Tr(X^h X^(p-h)) = sum_ik (X^h)_ik
+    conj((X^(p-h))_ik), as both powers are Hermitian: the diagonal products
+    plus twice the real parts above it.  h - 1 products build X^h, and one
+    more X^(p-h) when p is odd.
+    """
+    n = len(x)
+    if p == 1:
+        return _left_sum([x[i][i] for i in range(n)])
+    lo = x
+    for _ in range(p // 2 - 1):
+        lo = _hermitian_product(lo, x)
+    hi = _hermitian_product(lo, x) if p % 2 else lo
+    diag = [lo[i][i] * hi[i][i] for i in range(n)]
+    upper = [2.0 * (lo[i][k] * hi[i][k].conj()).real for i in range(n) for k in range(i + 1, n)]
+    return _left_sum(diag + upper)
+
+
+def _spectrum2(x: list) -> tuple:
+    """Eigenvalues t -+ r of a 2 x 2 X in _gram's entries, with
+    t = (X_00 + X_11)/2 and r = hypot((X_00 - X_11)/2, |X_01|), clipped at
+    0 as a (batch, 2) array; also (X_00 - X_11)/2 and r."""
+    t, half = 0.5 * (x[0][0] + x[1][1]), 0.5 * (x[0][0] - x[1][1])
+    r = np.hypot(half, np.abs(x[0][1]))
+    return np.clip(np.stack([t - r, t + r], axis=1), 0.0, None), half, r
+
+
 def _spectra(m: np.ndarray) -> np.ndarray:
-    """Spectra of X = M M^dag for a (batch, N_l, N_r) matrix array, clipped at 0."""
-    return np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
+    """Spectra of X = M M^dag for a (batch, N_l, N_r) matrix array,
+    ascending and clipped at 0: X_00 at N_l = 1, _spectrum2 at N_l = 2,
+    LAPACK's eigvalsh from N_l = 3."""
+    if m.shape[1] > 2:
+        return np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
+    x = _gram(m)
+    return x[0][0][:, None] if len(x) == 1 else _spectrum2(x)[0]
 
 
 def _s_of_matrices(params: ModelParams, m: np.ndarray) -> np.ndarray:
@@ -308,7 +382,8 @@ def _vertex_controls(params: ModelParams):
 
     def rows(s: np.ndarray) -> np.ndarray:
         # traces[q - 1] = Tr X^q for q = 1 .. 2p - 2, the highest vertex degree
-        traces = np.cumprod(np.broadcast_to(s, (2 * p - 2, *s.shape)), axis=0).sum(axis=2)
+        s_q = np.cumprod(np.broadcast_to(s.T, (2 * p - 2, *s.T.shape)), axis=0)
+        traces = _left_sum(s_q.transpose(1, 0, 2))
         return np.stack([
             sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
             for terms, mean in vertices
@@ -330,7 +405,8 @@ def _mc_rows(params: ModelParams, mode: str) -> tuple:
     matrices to (y, f_1, ..., f_k), and k.  At square shapes the weight
     exp(S) takes the controls S1 and S2 of _vertex_controls (k = 2) and
     exp(-N lam Tr X^p) the control Tr X^p (k = 1), each less its exact
-    Gaussian mean; rectangular shapes take none (k = 0)."""
+    Gaussian mean; rectangular shapes take none (k = 0).  Tr X^p is
+    _trace_power's, real."""
     n, p = params.n_l, params.p
     square = n == params.n_r
     if mode == "lvr":
@@ -345,13 +421,9 @@ def _mc_rows(params: ModelParams, mode: str) -> tuple:
     trace_mean = float(moment(trace_p, square=True).evaluate(n, n)) if square else None
 
     def rows(m):
-        x = m @ m.conj().transpose(0, 2, 1)
-        xp = x
-        for _ in range(p - 1):
-            xp = xp @ x
-        tr = np.trace(xp, axis1=1, axis2=2)
+        tr = _trace_power(_gram(m), p)
         y = np.exp(-params.n_r * params.lam * tr)
-        return (y, tr.real - trace_mean) if square else (y,)
+        return (y, tr - trace_mean) if square else (y,)
 
     return rows, 1 if square else 0
 

@@ -351,6 +351,23 @@ entry = st.floats(-10, 10)
 cplx = st.builds(complex, entry, entry)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("lam", [0.1, 0.05 * np.exp(0.25j * np.pi)])
+def test_n1_gradient_is_h_times_m(p, lam):
+    """At N = 1, G = h, so G M = h M and M^dag G = h conj(M), with no
+    eigensolver: the finite differences and the eigenbasis route agree."""
+    pr = params_sq(p, lam, 1)
+    m = np.concatenate([[0.0, 1e-9, 3.0], random_m(4, 3).ravel()]).reshape(-1, 1, 1)
+    for side in ("gm", "mdg"):
+        got = _grads_batch(pr, m, side)
+        want, _ = eigenbasis_grads(pr, m, side)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    for mi in m:
+        dm_s, dd_s = spectral_grads(pr, mi)
+        dm_f, dd_f = lve._grad_fd(pr, mi)
+        assert abs(dm_s - dm_f).max() < 1e-7 and abs(dd_s - dd_f).max() < 1e-7
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=cplx, b=cplx, c=cplx, d=cplx, u=st.tuples(cplx, cplx), v=st.tuples(cplx, cplx),
        eps=st.floats(0.0, 1e-8), p=st.sampled_from([2, 3]), modulus=st.floats(0.01, 0.5),

@@ -421,6 +421,25 @@ def test_grad_spectral_many_real_path_is_the_real_formula(k, n, extra, p, lam, a
     assert np.array_equal(got, real_grad_formula(spectra, pr))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_sum_is_numpys_sum_on_short_axes(n):
+    """grad_spectral_many sums over j with _left_sum: on the real branch
+    the (n, k) rows of an (n, n, k) array, which np.sum summed as a (k, n, n)
+    copy; on the complex branch the columns of a (k, n, n) array, the same
+    bits as np.sum below 4 terms."""
+    rng = np.random.default_rng(n)
+    q = rng.standard_normal((n, n, 3000)) * 10.0 ** rng.integers(-8, 8, (n, n, 3000))
+    want = np.sum(np.ascontiguousarray(q.transpose(2, 0, 1)), axis=2)
+    assert np.array_equal(lvr_action._left_sum(q.transpose(1, 0, 2)).T, want)
+    qc = np.ascontiguousarray(q.transpose(2, 0, 1)) * np.exp(1j * rng.uniform(0, 7, (3000, n, n)))
+    got = lvr_action._left_sum(np.moveaxis(qc, 2, 0))
+    if n < 4:
+        assert np.array_equal(got, np.sum(qc, axis=2))
+    else:
+        bound = 4 * np.finfo(float).eps * np.abs(qc).sum(axis=2)
+        assert np.all(np.abs(got - np.sum(qc, axis=2)) <= bound)
+
+
 def test_grad_spectral_cut_error_carries_index():
     # z = -lam * s = 0.5 sits on the cut [1/4, inf) for p = 2
     with pytest.raises(CutProximity, match="eigenvalue index 0, 0"):

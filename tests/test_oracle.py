@@ -27,7 +27,7 @@ from lvr_lab.oracle import (
     z_original,
     z_series_fd,
 )
-from lvr_lab.perturbation import logz_series
+from lvr_lab.perturbation import closed_form_s1, closed_form_s2, logz_series, moment
 
 
 def z1_reference(p: int, lam: complex) -> complex:
@@ -334,15 +334,15 @@ PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
     (1, "original", 2): 0.7462743932242413 - 0.16266362308780277j,
     (1, "lvr", 3): 0.27991386850866284 - 0.1900399617227506j,
     (1, "original", 3): 0.2837440495932855 - 0.19082247611704237j,
-    (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559456j,
+    (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559458j,
     (3, "original", 2): 0.7466872768594769 - 0.1622323643029012j,
     (3, "lvr", 3): 0.27890110351012015 - 0.1901714210806424j,
     (3, "original", 3): 0.28131454071827267 - 0.19120618768904096j,
 }
 # plain (uncontrolled) means and errors at lam = LAM_C, 2 x 3, three workers
 PINNED_RECTANGULAR = {  # (representation, p): (mean, standard error)
-    ("lvr", 2): (0.6842925039854737 - 0.1957854406347069j, 0.0008985491607109294),
-    ("original", 2): (0.6853043347572315 - 0.1954632241340446j, 0.0018545496564287298),
+    ("lvr", 2): (0.6842925039854737 - 0.1957854406347069j, 0.0008985491607109293),
+    ("original", 2): (0.6853043347572315 - 0.1954632241340446j, 0.0018545496564287296),
     ("lvr", 3): (0.5441942647857837 - 0.18638574787044332j, 0.0017096166113283713),
     ("original", 3): (0.5451608198872205 - 0.18650410379289956j, 0.002780135190545717),
 }
@@ -400,18 +400,13 @@ def test_controlled_z_matches_plain_estimate(p, n, mode):
 def test_rectangular_monte_carlo_is_the_plain_estimator():
     """Rectangular shapes take no control and draw no pilot: z_lvr and
     z_original are the plain means of exp(S) and exp(-N_r lam Tr X^p), bit
-    for bit, and keep the values they had before the square shapes took
-    controls."""
+    for bit."""
     cfg = McConfig(n_samples=2 * MC_CHUNK + 1, seed=1234, n_workers=3)
     for p in (2, 3):
         pr = ModelParams(p=p, lam=LAM_C, n_l=2, n_r=3)
 
         def original(m):
-            x = m @ m.conj().transpose(0, 2, 1)
-            xp = x
-            for _ in range(p - 1):
-                xp = xp @ x
-            return np.exp(-3 * pr.lam * np.trace(xp, axis1=1, axis2=2))
+            return np.exp(-3 * pr.lam * oracle._trace_power(oracle._gram(m), p))
 
         plain = {"lvr": lambda m: np.exp(_s_of_matrices(pr, m)), "original": original}
         for mode, fn in (("lvr", z_lvr), ("original", z_original)):
@@ -422,6 +417,116 @@ def test_rectangular_monte_carlo_is_the_plain_estimator():
             mean, err = oracle._mc_mean(plain[mode], (1234,), cfg, (2, 3))
             assert (got.value, got.error_estimate) == (complex(mean[0]), err)
             assert (got.value, got.error_estimate) == PINNED_RECTANGULAR[mode, p]
+
+
+# the entry-by-entry small-matrix layer
+
+EPS = np.finfo(float).eps
+
+
+def complex_gaussian(rng, shape):
+    raw = rng.standard_normal((*shape, 2))
+    return raw[..., 0] + 1j * raw[..., 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_l=st.integers(1, 4),
+    extra=st.integers(0, 4),
+    p=st.integers(1, 6),
+    rank1=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_and_trace_power_are_the_matmul_route(n_l, extra, p, rank1, scale, seed):
+    n_r = min(n_l + extra, 5)
+    rng = np.random.default_rng(seed)
+    if rank1:
+        m = complex_gaussian(rng, (16, n_l))[:, :, None] * complex_gaussian(rng, (16, n_r))[:, None, :]
+    else:
+        m = complex_gaussian(rng, (16, n_l, n_r))
+    m = scale * m
+    x = m @ m.conj().transpose(0, 2, 1)
+    entries = oracle._gram(m)
+    for i in range(n_l):
+        assert entries[i][i].dtype == float
+        for k in range(i + 1, n_l):
+            assert np.array_equal(entries[k][i], entries[i][k].conj())
+    got = np.moveaxis(np.array(entries), 2, 0)
+    assert np.all(np.abs(got - x) <= 1e-13 * np.abs(x).max(axis=(1, 2))[:, None, None])
+    want = np.trace(np.linalg.matrix_power(x, p), axis1=1, axis2=2)
+    tr = oracle._trace_power(entries, p)
+    assert tr.dtype == float
+    assert np.all(np.abs(tr - want) <= 1e-13 * np.abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_l=st.integers(1, 2),
+    extra=st.integers(0, 3),
+    kind=st.sampled_from(["gaussian", "rank 1", "scalar times unitary"]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_small_spectra_are_eigvalsh(n_l, extra, kind, scale, seed):
+    """At N_l <= 2 _spectra reads the spectrum off the Gram entries; it is
+    LAPACK's to 8 eps (1 + s_max), also where X is singular or a multiple
+    of the identity."""
+    n_r = n_l + extra
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        m = complex_gaussian(rng, (32, n_l, n_r))
+    elif kind == "rank 1":
+        m = complex_gaussian(rng, (32, n_l))[:, :, None] * complex_gaussian(rng, (32, n_r))[:, None, :]
+    else:
+        # the first n_l rows of a unitary: X = |c|^2 I
+        q = np.linalg.qr(complex_gaussian(rng, (32, n_r, n_r)))[0]
+        m = complex_gaussian(rng, (32, 1, 1)) * q[:, :n_l, :]
+    m = scale * m
+    want = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
+    got = oracle._spectra(m)
+    assert got.shape == (32, n_l)
+    assert np.all(np.abs(got - want) <= 8 * EPS * (1.0 + want[:, -1:]))
+
+
+def test_small_monte_carlo_calls_no_eigensolver(monkeypatch):
+    """z_lvr, z_original and both amplitudes at N <= 2, square and
+    rectangular, run with LAPACK's eigensolvers patched to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    cfg = McConfig(n_samples=1000, seed=5)
+    for n in (1, 2):
+        pr = ModelParams(p=2, lam=0.05, n_l=n, n_r=n)
+        for fn in (z_lvr, z_original, amplitude_trivial, amplitude_tree2):
+            fn(pr, cfg)
+    pr = ModelParams(p=3, lam=LAM_C, n_l=2, n_r=3)
+    z_lvr(pr, cfg)
+    z_original(pr, cfg)
+    # the patch is seen: N = 3 still takes eigvalsh
+    with pytest.raises(AssertionError, match="eigensolver"):
+        z_lvr(ModelParams(p=2, lam=0.05, n_l=3, n_r=3), cfg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vertex_control_traces_are_numpys_sums(n):
+    """_vertex_controls sums s_i^q over i left to right; at float dtype
+    and fewer than 8 terms that is np.sum's order, to the bit."""
+    pr = ModelParams(p=3, lam=LAM_C, n_l=n, n_r=n)
+    s = np.random.default_rng(n).uniform(0.0, 4.0, (1000, n))
+    traces = np.cumprod(np.broadcast_to(s, (4, *s.shape)), axis=0).sum(axis=2)
+    terms, means = [], []
+    for tp in (closed_form_s1(3), closed_form_s2(3)):
+        terms.append([(float(c.evaluate(n, n) * n**mono.tr0), mono.powers) for mono, c in tp.items()])
+        means.append(float(moment(tp, square=True).evaluate(n, n)))
+    want = np.stack([
+        sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in t) - mean
+        for t, mean in zip(terms, means)
+    ])
+    assert np.array_equal(oracle._vertex_controls(pr)(s), want)
 
 
 @settings(max_examples=60, deadline=None)
