@@ -26,7 +26,6 @@ from .oracle import (
     _controlled_mean,
     _gram,
     _mc_mean,
-    _s_of_matrices,
     _spectra,
     _spectrum2,
     _vertex_controls,
@@ -509,33 +508,6 @@ def faadibruno_numeric_check(v: complex, m: np.ndarray, q: int, qbar: int) -> fl
 # gradients of the action in the matrix entries
 
 
-def _grad_fd(params: ModelParams, m: np.ndarray):
-    """Entrywise Wirtinger derivatives of S by central differences of step
-    1e-6; the perturbed matrix keeps X = M M^dag Hermitian, so no
-    eigenbasis is ever needed."""
-    n, h = m.shape[0], 1e-6
-    pert = []
-    for a in range(n):
-        for b in range(n):
-            for step in (h, -h, 1j * h, -1j * h):
-                mm = m.copy()
-                mm[a, b] += step
-                pert.append(mm)
-    s = _s_of_matrices(params, np.array(pert)).reshape(n, n, 4)
-    d_re = (s[..., 0] - s[..., 1]) / (4 * h)
-    d_im = (s[..., 2] - s[..., 3]) / (4 * h)
-    dm = d_re - 1j * d_im
-    dmbar = d_re + 1j * d_im
-    return dm, dmbar.T
-
-
-def _near_degenerate(vals: np.ndarray) -> np.ndarray:
-    """Samples whose sorted spectra have a gap below 1e-9 (1 + s_max)."""
-    if vals.shape[1] < 2:
-        return np.zeros(vals.shape[0], dtype=bool)
-    return np.min(np.diff(vals, axis=1), axis=1) < 1e-9 * (1.0 + vals[:, -1])
-
-
 def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     """One gradient side per sample: G M (side "gm") or M^dag G (side
     "mdg"), where G = dS/dX has the eigenvectors of X = M M^dag and the
@@ -544,10 +516,12 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     dS/dM^dag_{ab} = (G M)_{ba} and dS/dM_{ab} = (M^dag G)_{ba}.  At N = 1,
     G = h.  At N = 2, with eigenvalues t -+ r, G = c I + beta (X - t I) for
     c = (h1 + h2)/2 and beta = (h2 - h1)/(2 r), written out entry by entry
-    from oracle._gram and oracle._spectrum2 with no eigenvectors.  Larger N
-    take the LAPACK eigenbasis.  Samples with nearly coincident
-    eigenvalues fall back to entrywise finite differences, where the
-    eigenbasis is noise-sensitive and beta divides by a vanishing gap.
+    from oracle._gram and oracle._spectrum2 with no eigenvectors; beta is 0
+    where r is below the normal range, as the quotient could overflow there
+    and beta (X - t I) is at most |h2 - h1|/2.  Larger N take the LAPACK
+    eigenbasis, which needs no gap: h_i - h_j = O(s_i - s_j), as h is the
+    gradient of a symmetric function, so the eigenvector freedom within a
+    cluster of close eigenvalues mixes only h values that agree to its width.
     """
     if m.shape[-1] == 1:
         h = grad_spectral_many(_spectra(m), params)
@@ -556,12 +530,11 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
         m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
         x = _gram(m)
         vals, half, r = _spectrum2(x)
-        bad = _near_degenerate(vals)
         h = grad_spectral_many(vals, params)
         c = 0.5 * (h[:, 0] + h[:, 1])
-        # finite-difference samples are overwritten below; a subnormal r
-        # there would overflow the quotient
-        beta = (h[:, 1] - h[:, 0]) / np.where(bad, 1.0, 2.0 * r)
+        beta = np.divide(
+            h[:, 1] - h[:, 0], 2.0 * r, out=np.zeros_like(c), where=r >= np.finfo(float).tiny
+        )
         g = (c + beta * half, beta * x[0][1], beta * x[1][0], c - beta * half)
         if side == "gm":
             (l0, l1, l2, l3), (r0, r1, r2, r3) = g, (m00, m01, m10, m11)
@@ -573,13 +546,9 @@ def _grads_batch(params: ModelParams, m: np.ndarray, side: str) -> np.ndarray:
     else:
         vals, vecs = np.linalg.eigh(np.einsum("xij,xkj->xik", m, m.conj()))
         vals = np.clip(vals, 0.0, None)
-        bad = _near_degenerate(vals)
         g = np.einsum("xij,xj,xkj->xik", vecs, grad_spectral_many(vals, params), vecs.conj())
         lhs, rhs = (g, m) if side == "gm" else (m.conj().transpose(0, 2, 1), g)
         out = np.einsum("xij,xjk->xik", lhs, rhs)
-    for idx in np.nonzero(bad)[0]:
-        dm, dd = _grad_fd(params, m[idx])
-        out[idx] = (dd if side == "gm" else dm).T
     return out
 
 

@@ -267,8 +267,8 @@ def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
     into one weighted sum, then the chain rule da/ds = 1/(1 + p lam a^(p-1)).
     For real lam >= 0 every z = -lam s^(p-1) lies in (-inf, 0], and
     everything from the spectrum to h runs in float64, with the bits the
-    complex a-map gives; the pair sums then run with the batch axis last.
-    The sum over j adds its n terms left to right (_left_sum).
+    complex a-map gives.  The pair sums run with the batch axis last, and
+    the sum over j adds its n terms left to right (_left_sum).
     """
     s_batch = np.asarray(s_batch, dtype=float)
     if s_batch.ndim != 2 or s_batch.shape[1] != params.n_l:
@@ -277,17 +277,13 @@ def grad_spectral_many(s_batch, params: ModelParams) -> np.ndarray:
     real = np.imag(lam) == 0 and np.real(lam) >= 0
     if real:
         lam = float(np.real(lam))
-        a = _a_checked(s_batch, params)
-        # batch axis last, so that each pair-sum product is one loop over k
-        at = np.ascontiguousarray(a.T)
-        ai, aj = at[:, None], at[None, :]
-    else:
-        a = _a_checked(s_batch.astype(complex), params)
-        ai, aj = a[:, :, None], a[:, None, :]
+    a = _a_checked(s_batch if real else s_batch.astype(complex), params)
+    # batch axis last, so that each pair-sum product is one loop over k
+    at = np.ascontiguousarray(a.T)
+    ai, aj = at[:, None], at[None, :]
     q = _weighted_pair_sum(ai, aj, p) / (1 + lam * _pair_sum(ai, aj, p))
-    # the sum over j, left to right: (n, k) rows transposed back to (k, n)
-    # on the real branch, (k, n) columns on the complex one
-    q_j = _left_sum(q.transpose(1, 0, 2)).T if real else _left_sum(np.moveaxis(q, 2, 0))
+    # the sum over j, left to right, as (n, k) rows transposed back to (k, n)
+    q_j = _left_sum(q.transpose(1, 0, 2)).T
     a_du = 1.0 / (1.0 + p * lam * a ** (p - 1))
     h = -2.0 * lam * a_du * q_j
     if params.n_r > params.n_l:

@@ -284,12 +284,6 @@ def _spectra(m: np.ndarray) -> np.ndarray:
     return x[0][0][:, None] if len(x) == 1 else _spectrum2(x)[0]
 
 
-def _s_of_matrices(params: ModelParams, m: np.ndarray) -> np.ndarray:
-    """S per sample for a (batch, N_l, N_r) matrix array, through action_s_many."""
-    s_mat, s_vec = action_s_many(_spectra(m), params)
-    return s_mat + s_vec
-
-
 def _mc_mean(kernel, key: tuple, cfg: McConfig, shape: tuple) -> tuple:
     """Monte Carlo means of kernel over complex Gaussian matrices.
 

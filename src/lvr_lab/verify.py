@@ -614,15 +614,10 @@ TARGETS = {
     "lve": run_lve,
 }
 
-TARGET_ORDER = ["fc", "action", "contour", "oracle", "perturb", "bkar", "lve"]
-
 
 def run_target(name: str, cfg: VerifyConfig):
     if name == "all":
-        out = []
-        for t in TARGET_ORDER:
-            out.extend(TARGETS[t](cfg))
-        return out
+        return [check for run in TARGETS.values() for check in run(cfg)]
     return TARGETS[name](cfg)
 
 

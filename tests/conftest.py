@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lvr_lab.errors import ContinuationFailure
-from lvr_lab.lvr_action import evaluator
+from lvr_lab.lvr_action import action_s_many, evaluator
+from lvr_lab.oracle import _spectra
 
 
 def _homotopy_logs(s_batch, params):
@@ -37,6 +38,41 @@ def homotopy_logs():
     return _homotopy_logs
 
 
+def _s_of_matrices(params, m):
+    """S per sample for a (batch, N_l, N_r) matrix array, through action_s_many."""
+    s_mat, s_vec = action_s_many(_spectra(m), params)
+    return s_mat + s_vec
+
+
+def _grad_fd(params, m):
+    """Reference (dS/dM, dS/dM^dag) of one square matrix, entry [a, b]
+    differentiating with respect to that entry: Wirtinger derivatives by
+    central differences of step 1e-6.  The perturbed matrix keeps
+    X = M M^dag Hermitian, so no eigenbasis is ever needed."""
+    n, h = m.shape[0], 1e-6
+    pert = []
+    for a in range(n):
+        for b in range(n):
+            for step in (h, -h, 1j * h, -1j * h):
+                mm = m.copy()
+                mm[a, b] += step
+                pert.append(mm)
+    s = _s_of_matrices(params, np.array(pert)).reshape(n, n, 4)
+    d_re = (s[..., 0] - s[..., 1]) / (4 * h)
+    d_im = (s[..., 2] - s[..., 3]) / (4 * h)
+    return d_re - 1j * d_im, (d_re + 1j * d_im).T
+
+
+@pytest.fixture(scope="session")
+def s_of_matrices():
+    return _s_of_matrices
+
+
+@pytest.fixture(scope="session")
+def fd_gradient():
+    return _grad_fd
+
+
 class RescueWalk:
     """Reference T_p, independent of the certified continuation: an Euler
     predictor and Newton corrector walked point by point from the series
@@ -46,15 +82,17 @@ class RescueWalk:
         self.ev = ev
 
     def newton(self, z, t0):
+        """Newton on z t^p - t + 1 from t0, down to the rounding floor: it
+        stops once a step is within four ulps of t."""
         p, t = self.ev.p, t0
         for _ in range(25):
-            f = z * t**p - t + 1
-            if abs(f) < 1e-15:
-                return t
             fp = p * z * t ** (p - 1) - 1
             if fp == 0:
                 break
-            t = t - f / fp
+            step = (z * t**p - t + 1) / fp
+            t = t - step
+            if abs(step) <= 4 * np.finfo(float).eps * abs(t):
+                break
         return t
 
     def at(self, z):

@@ -14,7 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import i1e
 
-from lvr_lab import lve, oracle
+from lvr_lab import oracle
 from lvr_lab.errors import SizeBound
 from lvr_lab.lve import (
     AmplitudeEstimate,
@@ -34,7 +34,7 @@ from lvr_lab.lve import (
     _grads_batch,
     _w_rule,
 )
-from lvr_lab.oracle import MC_CHUNK, McConfig, _s_of_matrices, _spectra, free_energy
+from lvr_lab.oracle import MC_CHUNK, McConfig, _spectra, free_energy
 from lvr_lab.lvr_action import ModelParams, grad_spectral_many
 
 
@@ -306,12 +306,12 @@ def spectral_grads(params, m):
     return _grads_batch(params, m[None], "mdg")[0].T, _grads_batch(params, m[None], "gm")[0].T
 
 
-def test_grad_spectral_matches_fd():
+def test_grad_spectral_matches_fd(fd_gradient):
     for p, lam in [(2, 0.1), (3, 0.05), (2, 0.05 * np.exp(0.25j * np.pi))]:
         pr = params_sq(p, lam, 2)
         m = random_m(2, 17)
         dm_s, dd_s = spectral_grads(pr, m)
-        dm_f, dd_f = lve._grad_fd(pr, m)
+        dm_f, dd_f = fd_gradient(pr, m)
         assert np.abs(dm_s - dm_f).max() < 1e-7
         assert np.abs(dd_s - dd_f).max() < 1e-7
 
@@ -325,10 +325,10 @@ def test_grad_conjugation_relation():
     assert np.abs(dm - dd.conj().T).max() < 1e-10
 
 
-def test_grad_degenerate_fd_value():
+def test_grad_degenerate_fd_value(fd_gradient):
     pr = params_sq(2, 0.1, 2)
     m = 0.8 * np.eye(2, dtype=complex)
-    dm, dd = lve._grad_fd(pr, m)
+    dm, dd = fd_gradient(pr, m)
     # hand value: s = 0.64 twice, dS/dM_aa = 0.8 * 4 * g1(s, s)
     a = (-1 + math.sqrt(1 + 4 * 0.1 * 0.64)) / 0.2
     g1 = -0.1 / ((1 + 0.2 * a) * (1 + 0.2 * a))
@@ -353,7 +353,7 @@ cplx = st.builds(complex, entry, entry)
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("lam", [0.1, 0.05 * np.exp(0.25j * np.pi)])
-def test_n1_gradient_is_h_times_m(p, lam):
+def test_n1_gradient_is_h_times_m(fd_gradient, p, lam):
     """At N = 1, G = h, so G M = h M and M^dag G = h conj(M), with no
     eigensolver: the finite differences and the eigenbasis route agree."""
     pr = params_sq(p, lam, 1)
@@ -364,7 +364,7 @@ def test_n1_gradient_is_h_times_m(p, lam):
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
     for mi in m:
         dm_s, dd_s = spectral_grads(pr, mi)
-        dm_f, dd_f = lve._grad_fd(pr, mi)
+        dm_f, dd_f = fd_gradient(pr, mi)
         assert abs(dm_s - dm_f).max() < 1e-7 and abs(dd_s - dd_f).max() < 1e-7
 
 
@@ -386,53 +386,51 @@ def test_n2_gradient_matches_eigenbasis_route(a, b, c, d, u, v, eps, p, modulus,
     for side in ("gm", "mdg"):
         want, vals = eigenbasis_grads(pr, m, side)
         got = _grads_batch(pr, m, side)
-        # samples at or near the finite-difference gap take that route instead
-        spectral = vals[:, 1] - vals[:, 0] >= 2e-9 * (1.0 + vals[:, 1])
         # both routes sum terms of size |h| |M|; on a rank-1 M with
         # |h_1| >> |h_2| they cancel to |h_2| |M|, and the LAPACK route
         # itself is then off by more than 1e-12 of max|out|
         h = grad_spectral_many(vals, pr)
         tol = 1e-12 * np.abs(h).max(axis=1) * np.abs(m).max(axis=(1, 2))
-        assert np.all((np.abs(got - want).max(axis=(1, 2)) <= tol)[spectral])
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= tol)
 
 
-def test_n2_gradient_degenerate_samples_take_finite_differences(monkeypatch):
-    pr = params_sq(2, 0.1, 2)
-    phase = np.exp(0.7j)
-    m = np.array([
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.05 * np.exp(0.25j * np.pi), 0.3 * np.exp(-1.2j)])
+def test_degenerate_spectra_take_the_spectral_route(fd_gradient, p, lam):
+    """Coincident, nearly coincident and subnormal eigenvalues take the
+    spectral route of their size like every other sample.  At N = 2 the
+    closed form is the eigenbasis route to 1e-14 |h| |M|; at N = 2 and 3
+    both sides match the central differences to 1e-7."""
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    n2 = np.array([
         random_m(2, 5),
+        np.zeros((2, 2)),  # M = 0
         0.8 * np.eye(2),  # X = 0.64 I
-        np.diag([0.6, 0.6 * phase]),  # X = 0.36 I
-        np.diag([1.0, 1.0 + 1e-11]),  # gap 2e-11 < 1e-9 (1 + s_max)
-        np.diag([0.0, 1e-5]),  # gap 1e-10 < 1e-9
-        np.diag([1.0, 1.0 + 1e-8]),  # gap 2e-8, spectral
+        np.diag([0.6, 0.6 * np.exp(0.7j)]),  # X = 0.36 I
+        np.diag([1.0, 1.0 + 1e-11]),  # gap 2e-11
+        np.diag([0.0, 1e-5]),  # gap 1e-10
+        rot @ np.diag([1.0, 1.0 + 5e-14]),  # gap 1e-13 in a rotated basis
+        np.diag([0.0, 2.8085390528476588e-161j]),  # X = diag(0, 7.9e-322): r subnormal
+        np.diag([1.0, 1.0 + 1e-8]),
         np.diag([0.3, 0.9]),
     ], dtype=complex)
-    calls = []
-    exact = lve._grad_fd
-
-    def spy(params, mi):
-        calls.append(next(i for i, row in enumerate(m) if np.array_equal(row, mi)))
-        return exact(params, mi)
-
-    monkeypatch.setattr(lve, "_grad_fd", spy)
+    n3 = np.array([
+        0.8 * np.eye(3),  # X = 0.64 I
+        np.diag([0.5, 1.0, 1.0 + 5e-12]),  # gap 1e-11
+        np.diag([2.8085390528476588e-161j, 0.5, 0.9]),  # a subnormal eigenvalue
+    ], dtype=complex)
+    pr2 = params_sq(p, lam, 2)
     for side in ("gm", "mdg"):
-        calls.clear()
-        got = _grads_batch(pr, m, side)
-        assert calls == [1, 2, 3, 4]
-        want, _ = eigenbasis_grads(pr, m, side)
-        for i in (0, 5, 6):
-            assert np.abs(got[i] - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
-
-
-def test_n2_gradient_subnormal_gap_takes_finite_differences():
-    # X = diag(0, 7.9e-322): r is subnormal and (h2 - h1) / (2 r) would overflow
-    pr = params_sq(2, 0.5, 2)
-    m = np.diag([0.0, 2.8085390528476588e-161j])[None]
-    for side in ("gm", "mdg"):
-        got = _grads_batch(pr, m, side)
-        dm, dd = lve._grad_fd(pr, m[0])
-        assert np.array_equal(got[0], (dd if side == "gm" else dm).T)
+        got = _grads_batch(pr2, n2, side)
+        want, vals = eigenbasis_grads(pr2, n2, side)
+        h = grad_spectral_many(vals, pr2)
+        tol = 1e-14 * np.abs(h).max(axis=1) * np.abs(n2).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= tol)
+    for pr, m in ((pr2, n2), (params_sq(p, lam, 3), n3)):
+        for mi in m:
+            dm_s, dd_s = spectral_grads(pr, mi)
+            dm_f, dd_f = fd_gradient(pr, mi)
+            assert np.abs(dm_s - dm_f).max() < 1e-7 and np.abs(dd_s - dd_f).max() < 1e-7
 
 
 # amplitudes
@@ -461,12 +459,12 @@ def test_amplitude_trivial_matches_quadrature():
 @pytest.mark.parametrize("lam", [0.05, 0.05 * np.exp(0.25j * np.pi)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_controlled_vertex_amplitude_matches_plain_estimate(p, n, lam):
+def test_controlled_vertex_amplitude_matches_plain_estimate(s_of_matrices, p, n, lam):
     pr = params_sq(p, lam, n)
     cfg = McConfig(n_samples=8192, seed=21, n_workers=2)
     est = amplitude_trivial(pr, cfg)
     # the plain estimator, the mean of S, on an independent stream
-    mean, err = oracle._mc_mean(lambda m: _s_of_matrices(pr, m), (21, 9), cfg, (n, n))
+    mean, err = oracle._mc_mean(lambda m: s_of_matrices(pr, m), (21, 9), cfg, (n, n))
     plain, plain_err = complex(mean[0]) / n**2, err / n**2
     assert abs(est.value - plain) <= 4 * math.hypot(est.std_error, plain_err)
     assert est.std_error <= plain_err

@@ -423,21 +423,21 @@ def test_grad_spectral_many_real_path_is_the_real_formula(k, n, extra, p, lam, a
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_left_sum_is_numpys_sum_on_short_axes(n):
-    """grad_spectral_many sums over j with _left_sum: on the real branch
-    the (n, k) rows of an (n, n, k) array, which np.sum summed as a (k, n, n)
-    copy; on the complex branch the columns of a (k, n, n) array, the same
-    bits as np.sum below 4 terms."""
+    """grad_spectral_many sums over j with _left_sum, over the (n, k) rows
+    of an (n, n, k) array in either dtype.  np.sum summed a (k, n, n) copy:
+    the same bits over float rows, and over complex rows below 4 terms."""
     rng = np.random.default_rng(n)
     q = rng.standard_normal((n, n, 3000)) * 10.0 ** rng.integers(-8, 8, (n, n, 3000))
     want = np.sum(np.ascontiguousarray(q.transpose(2, 0, 1)), axis=2)
     assert np.array_equal(lvr_action._left_sum(q.transpose(1, 0, 2)).T, want)
-    qc = np.ascontiguousarray(q.transpose(2, 0, 1)) * np.exp(1j * rng.uniform(0, 7, (3000, n, n)))
-    got = lvr_action._left_sum(np.moveaxis(qc, 2, 0))
+    qc = q * np.exp(1j * rng.uniform(0, 7, (n, n, 3000)))
+    got = lvr_action._left_sum(qc.transpose(1, 0, 2)).T
+    want = np.sum(np.ascontiguousarray(qc.transpose(2, 0, 1)), axis=2)
     if n < 4:
-        assert np.array_equal(got, np.sum(qc, axis=2))
+        assert np.array_equal(got, want)
     else:
-        bound = 4 * np.finfo(float).eps * np.abs(qc).sum(axis=2)
-        assert np.all(np.abs(got - np.sum(qc, axis=2)) <= bound)
+        bound = 4 * np.finfo(float).eps * np.abs(qc).sum(axis=1).T
+        assert np.all(np.abs(got - want) <= bound)
 
 
 def test_grad_spectral_cut_error_carries_index():

@@ -19,7 +19,6 @@ from lvr_lab.lvr_action import ModelParams, evaluator
 from lvr_lab.oracle import (
     MC_CHUNK,
     McConfig,
-    _s_of_matrices,
     free_energy,
     measure_self_test,
     z0_closed_form,
@@ -199,13 +198,13 @@ def principal_log_action(params, s_batch):
     return s_mat + s_vec
 
 
-def test_batched_action_is_the_principal_formula():
+def test_batched_action_is_the_principal_formula(s_of_matrices):
     pr = ModelParams(p=3, lam=0.05 * np.exp(1j * np.pi / 4), n_l=3, n_r=3)
     rng = np.random.Generator(np.random.Philox(1234))
     raw = rng.standard_normal((MC_CHUNK, 3, 3, 2))
     m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(6)
     s_batch = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0.0, None)
-    assert np.array_equal(_s_of_matrices(pr, m), principal_log_action(pr, s_batch))
+    assert np.array_equal(s_of_matrices(pr, m), principal_log_action(pr, s_batch))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -397,7 +396,7 @@ def test_controlled_z_matches_plain_estimate(p, n, mode):
     assert est.error_estimate < plain_err
 
 
-def test_rectangular_monte_carlo_is_the_plain_estimator():
+def test_rectangular_monte_carlo_is_the_plain_estimator(s_of_matrices):
     """Rectangular shapes take no control and draw no pilot: z_lvr and
     z_original are the plain means of exp(S) and exp(-N_r lam Tr X^p), bit
     for bit."""
@@ -408,7 +407,7 @@ def test_rectangular_monte_carlo_is_the_plain_estimator():
         def original(m):
             return np.exp(-3 * pr.lam * oracle._trace_power(oracle._gram(m), p))
 
-        plain = {"lvr": lambda m: np.exp(_s_of_matrices(pr, m)), "original": original}
+        plain = {"lvr": lambda m: np.exp(s_of_matrices(pr, m)), "original": original}
         for mode, fn in (("lvr", z_lvr), ("original", z_original)):
             spy = mock.Mock(wraps=oracle._mc_mean)
             with mock.patch.object(oracle, "_mc_mean", spy):

@@ -1,7 +1,8 @@
 """Every public name has a caller in the package: a name in a module's
 __all__ must be referenced by another module of src/lvr_lab, or by its
-own module beyond its definition.  A name only tests call is surface the
-tests keep alive for nobody."""
+own module beyond its definition.  So must every public method, and every
+module-level function and class, private ones included.  A name only
+tests call is surface the tests keep alive for nobody."""
 
 import ast
 from pathlib import Path
@@ -73,5 +74,21 @@ def test_every_public_method_has_a_caller_in_the_package():
         for module, tree in trees.items()
         for cls, method in public_methods(tree)
         if method not in attrs
+    ]
+    assert orphans == []
+
+
+def test_every_module_level_definition_has_a_caller_in_the_package():
+    """The module-level twin of the method check: each function and class a
+    module of src/lvr_lab defines, private ones too, is referenced by some
+    module of src/lvr_lab outside its own definition."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    statements = [(node, referenced_names(node)) for tree in trees.values() for node in tree.body]
+    orphans = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in refs for other, refs in statements if other is not node)
     ]
     assert orphans == []
