@@ -31,7 +31,6 @@ product over all t-nodes; only |phi| in bound_integrals goes node by node.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -93,12 +92,6 @@ class KeyholeContour:
 
     def arclength_weights(self) -> np.ndarray:
         return np.abs(self.weights) * (2.0 * np.pi)
-
-    def contains(self, s: complex) -> bool:
-        s = complex(s)
-        if abs(s) < self.r:
-            return True
-        return abs(s) < self.R and abs(cmath.phase(s)) < self.psi
 
 
 @dataclass(frozen=True)
@@ -180,15 +173,6 @@ def make_keyhole(r: float, R: float, psi: float, nodes_per_piece: int = 64) -> K
     th2 = psi + (2 * np.pi - 2 * psi) * t
     pts.append(r * np.exp(1j * th2))
     wts.append(0.5 * (2 * np.pi - 2 * psi) * wq * 1j * r * np.exp(1j * th2))
-    ends = [
-        (r * np.exp(-1j * psi), R * np.exp(-1j * psi)),
-        (R * np.exp(-1j * psi), R * np.exp(1j * psi)),
-        (R * np.exp(1j * psi), r * np.exp(1j * psi)),
-        (r * np.exp(1j * psi), r * np.exp(1j * (2 * np.pi - psi))),
-    ]
-    for (_, stop), (start, _) in zip(ends, ends[1:] + ends[:1]):
-        if abs(stop - start) > 1e-12 * max(1.0, R):
-            raise BadGeometry("contour pieces do not close")
     contour = KeyholeContour(r, R, psi, np.concatenate(pts), np.concatenate(wts) / (2j * np.pi))
     probe = 0.5 * (r + R)
     w = winding_number(contour, probe)

@@ -15,16 +15,17 @@ whose principal sqrt is cut exactly along [R_2, +infinity), and that closed
 form serves every point.  Every p >= 3 takes the generic route below, which
 the p = 2 cross-checks run against the closed form.
 
-The series, summed by Horner's rule, serves |z| < R_p / 2, and the
-negative real axis has its own monotone Newton.  A float64 input below
-R_p / 2 is served in float64, with the bits of its complex route.  Every
-other point starts from the same series while |z| < R_p, and otherwise from
+The series, summed by Horner's rule, serves |z| < R_p / 2.  Every other
+point starts from the same series while |z| < R_p, and otherwise from
 the series at infinity, T = zeta * sum_k c_k zeta^k with zeta = (-1/z)^(1/p),
 then from the series in xi = (1 - s)/(1 + s) and in s = sqrt(1 - z/R_p),
 until Smale's alpha test proves that a few Newton steps from the guess reach
 T_p(z).  Within about 1e-11 of R_p the rounding of z T^p - T + 1 alone keeps
 the test from separating the colliding roots, and ContinuationFailure is
-raised.  No value depends on the other points of the call.  The scalar map
+raised.  A float64 input below R_p / 2 is served in float64, and a point of
+the negative axis is continued in float64 whatever its dtype, so a float
+point gets the bits of its complex route.  No value depends on the other
+points of the call.  The scalar map
 
     a(lambda, u) = u * T_p(-lambda * u^(p-1))
 
@@ -176,14 +177,14 @@ class FcEvaluator:
 
     The one parameter is the interaction order p >= 2.  At p = 2 every T
     comes from the closed form 2 / (1 + sqrt(1 - 4z)); at p >= 3 from the
-    series, the negative-axis Newton and the certified continuation
-    (_tp_generic), which at p = 2 serve only as its cross-check.  No call
-    changes the evaluator or returns an unproved T.  The class constants
-    are n_max, the number of cached series coefficients (60 terms give
-    series error below 1e-18 anywhere in |z| <= 0.5 * R_p); tol_residual,
-    which every returned T meets as |z T^p - T + 1| <= tol_residual, with no
-    exemption, the branch point z = R_p included; and tol_cut, the distance
-    from the open cut (R_p, +inf) within which points are rejected.
+    series and the certified continuation (_tp_generic), which at p = 2
+    serve only as its cross-check.  No call changes the evaluator or
+    returns an unproved T.  The class constants are n_max, the number of
+    cached series coefficients (60 terms give series error below 1e-18
+    anywhere in |z| <= 0.5 * R_p); tol_residual, which every returned T
+    meets as |z T^p - T + 1| <= tol_residual, with no exemption, the branch
+    point z = R_p included; and tol_cut, the distance from the open cut
+    (R_p, +inf) within which points are rejected.
     """
 
     n_max = 60
@@ -325,8 +326,9 @@ class FcEvaluator:
         """T_p at each point of a 1-d array.
 
         A float64 input whose points all lie below R_p/2 stays in float64:
-        its points lie in the series disk or on the negative axis, and the
-        result is float64, bit for bit the real part of the complex result.
+        its points lie in the series disk or on the negative axis, which
+        both dtypes continue in float64, and the result is float64, bit for
+        bit the real part of the complex result.
         Every other input is promoted to complex and returns complex.  A
         point that is not finite raises ValueError naming its index.  At
         p = 2 each point takes the closed form, at p >= 3 _tp_generic; both
@@ -361,50 +363,25 @@ class FcEvaluator:
         return out
 
     def _tp_generic(self, zs: np.ndarray) -> np.ndarray:
-        """T_p by region: the series disk, the negative axis, the branch
-        point and the continuation, for any p.  zs is a nonempty 1-d array as
-        tp_eval_many passes it on, float64 only if it lies below R_p/2.  It
-        serves every p >= 3, and checks the closed form at p = 2."""
-        real = zs.dtype == np.float64
+        """T_p by region: the series disk, the branch point and the certified
+        continuation, for any p.  zs is a nonempty 1-d array as tp_eval_many
+        passes it on, float64 only if it lies below R_p/2.  A point of the
+        negative axis outside the disk, a float or a complex with imag == 0,
+        is continued in float64.  It serves every p >= 3, and checks the
+        closed form at p = 2."""
         out = np.empty_like(zs)
         series = np.abs(zs) < 0.5 * self.cut_start
-        if real:
-            # no cut and no branch point below R_p/2: a real point outside
-            # the series disk lies on the negative axis
-            neg = ~series
-        else:
-            at_bp = self._check_cut(zs)
-            if np.any(at_bp):
-                # at z = R_p the two colliding branches meet at T = p/(p-1)
-                out[at_bp] = self.p / (self.p - 1)
-            neg = (~series) & (zs.imag == 0) & (zs.real < 0)
-            rest = ~(at_bp | series | neg)
-            if np.any(rest):
-                out[rest] = self._continue(zs[rest])
+        at_bp = self._check_cut(zs)
+        # at z = R_p the two colliding branches meet at T = p/(p-1)
+        out[at_bp] = self.p / (self.p - 1)
         if np.any(series):
             out[series] = self._series_eval(zs[series])
-        if np.any(neg):
-            out[neg] = self._newton_negative_axis(zs[neg].real)
+        rest = ~(series | at_bp)
+        neg = rest & (zs.imag == 0) & (zs.real < 0)
+        for part, z in ((neg, zs.real), (rest & ~neg, zs)):
+            if np.any(part):
+                out[part] = self._continue(z[part])
         return out
-
-    def _newton_negative_axis(self, zr: np.ndarray) -> np.ndarray:
-        """Solve z t^p - t + 1 = 0 for real z < 0, root in (0, 1].
-
-        On the negative axis the residual is strictly decreasing and concave
-        in t on (0, 1], so Newton started from any point with residual <= 0
-        descends monotonically onto the unique root.  t0 = min(1, (-z)^(-1/p))
-        is such a point and is already close for large |z|.
-        """
-        t = np.where(zr < -1.0, (-np.minimum(zr, -1.0)) ** (-1.0 / self.p), 1.0)
-        live = np.ones(t.shape, dtype=bool)  # each point stops on its own step
-        for _ in range(90):
-            step = (zr * t**self.p - t + 1.0) / (self.p * zr * t ** (self.p - 1) - 1.0)
-            step[~live] = 0.0
-            t = t - step
-            live &= np.abs(step) >= 1e-15
-            if not live.any():
-                break
-        return t
 
     def tp_deriv_many(self, zs, t_vals: np.ndarray | None = None) -> np.ndarray:
         """dT_p/dz = T^p / (1 - p z T^(p-1)); rejected at the branch point."""

@@ -91,8 +91,8 @@ class ModelParams:
         if self.n_l > self.n_r:
             raise ValueError("shape convention requires n_l <= n_r")
 
-    def is_in_pacman(self, lam: complex | None = None) -> bool:
-        return self.pacman.contains(self.lam if lam is None else lam)
+    def is_in_pacman(self) -> bool:
+        return self.pacman.contains(self.lam)
 
 
 @dataclass(frozen=True)

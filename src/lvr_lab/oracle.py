@@ -451,14 +451,13 @@ def z_lvr(params: ModelParams, cfg: McConfig | None = None) -> ZResult:
     return _mc_z(params, cfg, "lvr")
 
 
-def free_energy(
-    params: ModelParams, cfg: McConfig | None = None, representation: str = "original"
-) -> complex:
-    """log(Z_normalized) / (N_l N_r), principal branch (Z near 1)."""
+def free_energy(params: ModelParams, representation: str = "original") -> complex:
+    """log(Z_normalized) / (N_l N_r), principal branch (Z near 1), with Z
+    from the eigenvalue quadrature (square, N <= 4)."""
     if representation == "original":
-        z = z_original(params, cfg)
+        z = z_original(params)
     elif representation == "lvr":
-        z = z_lvr(params, cfg)
+        z = z_lvr(params)
     else:
         raise ValueError("representation must be 'original' or 'lvr'")
     if z.value == 0:

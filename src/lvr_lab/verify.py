@@ -235,10 +235,10 @@ def run_action(cfg: VerifyConfig):
     return checks
 
 
-def _contour_triple(scale: float = 1.0):
-    g0 = contour.make_keyhole(0.14, 6.0 * scale, 0.36, nodes_per_piece=192)
-    g1 = contour.make_keyhole(0.10, 4.0 * scale, 0.27, nodes_per_piece=192)
-    g2 = contour.make_keyhole(0.05, 3.5 * scale, 0.18, nodes_per_piece=192)
+def _contour_triple():
+    g0 = contour.make_keyhole(0.14, 6.0, 0.36, nodes_per_piece=192)
+    g1 = contour.make_keyhole(0.10, 4.0, 0.27, nodes_per_piece=192)
+    g2 = contour.make_keyhole(0.05, 3.5, 0.18, nodes_per_piece=192)
     return contour.ContourTriple(g0, g1, g2)
 
 

@@ -153,3 +153,30 @@ class RescueWalk:
 @pytest.fixture(scope="session")
 def rescue_walk():
     return RescueWalk
+
+
+def _negative_axis_newton(p, zr):
+    """Reference T_p on the negative axis, independent of the certified
+    continuation: Newton on z t^p - t + 1 for real z < 0, root in (0, 1].
+
+    There the residual is strictly decreasing and concave in t on (0, 1], so
+    Newton started from any point with residual <= 0 descends monotonically
+    onto the unique root.  t0 = min(1, (-z)^(-1/p)) is such a point and is
+    already close for large |z|.  Each point stops on its own step, once the
+    step is below 1e-15.
+    """
+    t = np.where(zr < -1.0, (-np.minimum(zr, -1.0)) ** (-1.0 / p), 1.0)
+    live = np.ones(t.shape, dtype=bool)
+    for _ in range(90):
+        step = (zr * t**p - t + 1.0) / (p * zr * t ** (p - 1) - 1.0)
+        step[~live] = 0.0
+        t = t - step
+        live &= np.abs(step) >= 1e-15
+        if not live.any():
+            break
+    return t
+
+
+@pytest.fixture(scope="session")
+def negative_axis_newton():
+    return _negative_axis_newton

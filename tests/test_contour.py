@@ -107,11 +107,18 @@ def test_winding_origin_and_spectrum_enclosed():
     assert abs(winding_number(g, 0.2j)) < 1e-10  # slot excluded off-axis
 
 
+def inside_keyhole(g, s):
+    """Whether s lies inside the finite keyhole g: in its small disk, or in
+    the sector |arg s| < psi below its big arc."""
+    s = complex(s)
+    return abs(s) < g.r or (abs(s) < g.R and abs(cmath.phase(s)) < g.psi)
+
+
 def test_contains_matches_winding():
     g = make_keyhole(0.2, 3.0, 0.4, 96)
     for s in (0.0, 0.1, 1.5, 0.15j, -0.1, 2.0 * cmath.exp(0.25j), 2.0j, -3.5, 4.0):
         w = winding_number(g, s)
-        assert abs(w - (1.0 if g.contains(s) else 0.0)) < 1e-8
+        assert abs(w - (1.0 if inside_keyhole(g, s) else 0.0)) < 1e-8
 
 
 def test_keyhole_nodes_are_read_only():

@@ -714,6 +714,43 @@ def test_float_points_take_the_complex_bits(p, far, disk, edges):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", range(3, 9))
+def test_negative_axis_matches_monotone_newton(negative_axis_newton, p):
+    # |z| from R_p/2 to 1e8, log-uniform, with both ends; the reference is
+    # the monotone Newton, which the certified continuation replaced there
+    ev = _EVALUATORS.setdefault(p, FcEvaluator(p))
+    rng = np.random.default_rng(40 + p)
+    lo = math.log10(0.5 * ev.cut_start)
+    zs = -(10.0 ** np.concatenate([[lo, 8.0], rng.uniform(lo, 8.0, 4000)]))
+    zs[0] = -0.5 * ev.cut_start
+    got = ev.tp_eval_many(zs)
+    want = negative_axis_newton(p, zs)
+    assert got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= 2.0**-51 * want)
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_negative_axis_is_continued_in_float64(monkeypatch, p):
+    # float input, and complex input with imag == 0 (of either sign), reach
+    # the continuation as float64; the rest of a complex call stays complex
+    ev = FcEvaluator(p)
+    seen = []
+    cont = FcEvaluator._continue
+
+    def spy(self, zs):
+        seen.append((zs.dtype, zs.size))
+        return cont(self, zs)
+
+    monkeypatch.setattr(FcEvaluator, "_continue", spy)
+    axis = -np.array([0.5, 1.0, 30.0, 1e6]) * ev.cut_start
+    ev.tp_eval_many(axis)
+    assert seen == [(np.float64, 4)]
+    seen.clear()
+    zs = np.concatenate([axis + 0j, (axis + 0j).conj(), [0.1 * ev.cut_start, -ev.cut_start + 1e-3j]])
+    ev.tp_eval_many(zs)
+    assert seen == [(np.float64, 8), (complex, 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.integers(2, 6),

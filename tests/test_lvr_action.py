@@ -60,7 +60,7 @@ class TestDomainTypes:
         assert not dom.contains(-0.5)  # on the negative axis, arg = pi
         p = params(lam=0.2, pacman=PacmanDomain(0.3, 1.0))
         assert p.is_in_pacman()
-        assert not p.is_in_pacman(2.0)
+        assert not p.pacman.contains(2.0)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Every public name has a caller in the package: a name in a module's
 __all__ must be referenced by another module of src/lvr_lab, or by its
-own module beyond its definition.  So must every public method, and every
-module-level function and class, private ones included.  A name only
-tests call is surface the tests keep alive for nobody."""
+own module beyond its definition.  So must every public method, every
+single-underscore method, and every module-level function and class,
+private ones included.  A name only tests call is surface the tests keep
+alive for nobody."""
 
 import ast
 from pathlib import Path
@@ -91,4 +92,34 @@ def test_every_module_level_definition_has_a_caller_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not any(node.name in refs for other, refs in statements if other is not node)
     ]
+    assert orphans == []
+
+
+def test_every_private_method_has_a_caller_in_the_package():
+    """The single-underscore twin of the public-method check, over every class
+    of src/lvr_lab: each such method is taken as an attribute somewhere in
+    src/lvr_lab outside its own body, so a method that only calls itself has
+    no caller.  Dunder methods are called by the language and are skipped."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    attrs = [
+        (node, node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    orphans = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not (
+                    isinstance(item, ast.FunctionDef)
+                    and item.name.startswith("_")
+                    and not item.name.startswith("__")
+                ):
+                    continue
+                own = {id(node) for node in ast.walk(item)}
+                if not any(name == item.name and id(node) not in own for node, name in attrs):
+                    orphans.append(f"{module}.{cls.name}.{item.name}")
     assert orphans == []
