@@ -21,8 +21,9 @@ the series at infinity, T = zeta * sum_k c_k zeta^k with zeta = (-1/z)^(1/p),
 then from the series in xi = (1 - s)/(1 + s) and in s = sqrt(1 - z/R_p),
 until Smale's alpha test proves that a few Newton steps from the guess reach
 T_p(z).  Within about 1e-11 of R_p the rounding of z T^p - T + 1 alone keeps
-the test from separating the colliding roots, and ContinuationFailure is
-raised.  A float64 input below R_p / 2 is served in float64, and a point of
+the test from separating the colliding roots; there the series in s, whose
+error bound is then a small multiple of the condition of T_p, is the value.
+A float64 input below R_p / 2 is served in float64, and a point of
 the negative axis is continued in float64 whatever its dtype, so a float
 point gets the bits of its complex route.  No value depends on the other
 points of the call.  The scalar map
@@ -263,10 +264,12 @@ class FcEvaluator:
         inf outside): the tail M q^(K+1) / (1 - q), Horner's rounding 2^-51 (K+1)
         sum |c_k w^k|, 1e-14 / (1 - q) for the float64 b_k (3e-15 off a 50-digit
         run), and to first order w's rounding times |dT/dw| <= sum k |c_k w^(k-1)|
-        + M (K+1) q^K / (r (1 - q)^2).  As the rounded 1 - z/R_p keeps the sign of
-        its imaginary part, s lies within 2^-49 (|z|/R_p + |s|^2) / |s| of its
-        exact value, and xi within twice that over |1 + s|^2, plus 2^-51."""
-        s = np.sqrt(1 - zs * (1.0 / self.cut_start))
+        + M (K+1) q^K / (r (1 - q)^2).  1 - z/R_p is taken as (R_p - z) / R_p,
+        whose difference is exact next to R_p, so it is 0 only at z = R_p; as it
+        keeps the sign of its imaginary part, s lies within 2^-49 (|z|/R_p + |s|^2)
+        / |s| of its exact value, and xi within twice that over |1 + s|^2, plus
+        2^-51."""
+        s = np.sqrt((self.cut_start - zs) * (1.0 / self.cut_start))
         w = (1 - s) / (1 + s) if k == 0 else s
         (coeffs, m), r = _near_series(self.p)[k], (1.0, 0.9)[k]
         c, n, q = np.abs(coeffs), len(coeffs), np.abs(w) / r
@@ -303,7 +306,12 @@ class FcEvaluator:
 
     def _continue(self, zs: np.ndarray) -> np.ndarray:
         """T_p at continuation points by _guess, then _guess_near in xi and in s
-        for the points left; Newton overflowing from a later guess fails."""
+        for the points left; Newton overflowing from a later guess fails.  Next
+        to R_p, where the alpha test cannot separate the colliding roots, the
+        Puiseux guess g is itself the value wherever its bound eps >= |g - T_p(z)|
+        is below 1e-13 max(1, |z T_p'(z)|): the rounding of z alone moves T_p by
+        2^-53 |z T_p'(z)|, and eps, mostly the rounding of s, is about 2^-48
+        |z T_p'(z)| there."""
         out, left = np.empty_like(zs), np.arange(zs.size)
         for k in range(3):
             z = zs[left]
@@ -311,6 +319,11 @@ class FcEvaluator:
                 g, eps = self._guess(z) if k == 0 else self._guess_near(z, k - 1)
                 t = self._newton(z, g)
                 ok = self._certified(z, t, g, eps)
+                if k == 2:
+                    w = z * g ** (self.p - 1)
+                    cond = np.abs(w * g / (1 - self.p * w))
+                    enclosed = ~ok & (eps <= 1e-13 * np.maximum(1.0, cond))
+                    t, ok = np.where(enclosed, g, t), ok | enclosed
             out[left[ok]], left = t[ok], left[~ok]
             if not left.size:
                 return out

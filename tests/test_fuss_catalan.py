@@ -185,21 +185,44 @@ class TestTpEval:
 
         monkeypatch.setattr(rescue_walk, "newton", capped)
         ev = FcEvaluator(2)
-        with pytest.raises(ContinuationFailure):
-            # the generic route: tp_eval takes the closed form at p = 2
-            ev._tp_generic(np.array([np.nextafter(0.25, 0.0)], dtype=complex))
         for bp in (0.25, 0.25 + 1e-17j):
             calls.clear()
             with pytest.raises(ContinuationFailure):
                 rescue_walk(ev).along(0.2 + 0.1j, [0.05, bp, 0.2 + 0.1j])
 
-    def test_point_next_to_branch_point_raises(self):
+    def test_point_next_to_branch_point_takes_the_puiseux_enclosure(self):
         # 1e-14 from R_3 the colliding roots lie ~1e-7 apart, and the rounding
-        # of z T^p - T + 1 alone keeps the alpha test from separating them
+        # of z T^p - T + 1 alone keeps the alpha test from separating them; the
+        # series in s is the value there, within 1e-13 max(1, |z T'|) of the
+        # root of the float z polished at 50 digits from b_0 + b_1 s
+        import mpmath  # a test-only import: the package loads mpmath only on use
+
         ev = FcEvaluator(3)
         z = ev.cut_start * (1 - 1e-14)
-        with pytest.raises(ContinuationFailure, match="p=3"):
-            ev.tp_eval_many(np.array([z, 0.5 * z, 2j * z]))
+        t = ev.tp_eval_many(np.array([z, 0.5 * z, 2j * z]))
+        assert t[0].real < 1.5 and t[0] != t[1]
+        for p in (2, 3, 5, 8, 14, 24):
+            ev = FcEvaluator(p)
+            rp = ev.cut_start
+            shift = np.concatenate(
+                [10.0 ** -np.arange(11.0, 16.0), 1e-13 * np.exp(1j * np.array([-1.2, -0.3, 0.3, 1.2]))]
+            )
+            # a few ulps below R_14, z / R_p rounds to 1 and s would be 0
+            zs = np.append(rp * (1 - shift), rp - np.arange(1, 5) * np.spacing(rp))
+            # the generic route: tp_eval_many takes the closed form at p = 2
+            got = ev._tp_generic(zs)
+            with mpmath.workdps(50):
+                b0, r = mpmath.mpf(p) / (p - 1), mpmath.mpf(p - 1) ** (p - 1) / mpmath.mpf(p) ** p
+                b1 = -b0 * mpmath.sqrt(mpmath.mpf(2) / (p * (p - 1)))
+                want = []
+                for z in zs:
+                    s = mpmath.sqrt(1 - mpmath.mpc(z) / r)
+                    t0 = b0 + b1 * s
+                    want.append(complex(mpmath.findroot(lambda t: mpmath.mpc(z) * t**p - t + 1, t0)))
+            want = np.array(want)
+            w = zs * want ** (p - 1)
+            cond = np.abs(w * want / (1 - p * w))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, cond))
 
     def test_mixed_dispatch_consistent_with_scalar(self):
         ev = FcEvaluator(3)

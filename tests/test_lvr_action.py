@@ -208,6 +208,8 @@ class TestActionSMany:
     x0=st.floats(-4.0, -3.75),
 )
 @example(p=2, theta=0.0, x0=float(np.nextafter(-3.75, -4.0)))
+@example(p=3, theta=0.0, x0=float(np.nextafter(-3.75, -4.0)))
+@example(p=8, theta=0.0, x0=float(np.nextafter(-3.75, -4.0)))
 def test_principal_log_bound_on_rays(p, theta, x0):
     """The bound behind _action_logs: Re(1/T_p(z)) > (p-1)/p on the cut
     plane.  With z = -t lam s^(p-1), a'(s) = 1/(p/T_p(z) - (p-1)), so every
