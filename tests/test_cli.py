@@ -4,10 +4,13 @@ Checks run main() in process so capsys can capture output; one test
 drives the installed console script to cover the packaging entry.
 """
 
+import inspect
 import json
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 from lvr_lab import cli, fuss_catalan, verify
@@ -162,6 +165,104 @@ def test_verify_failed_check_exits_two(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert out.strip().splitlines()[-1] == "passed 0/1 checks"
+
+
+VERIFY_ALL_CHECKS = [
+    "fc.functional_equation",
+    "fc.closed_form_p2",
+    "fc.numbers_vs_series_recursion",
+    "fc.positivity_negative_axis",
+    "fc.cut_start_closed_form",
+    "action.scalar_map_inverts",
+    "action.zero_coupling_exact",
+    "action.scalar_closed_form",
+    "action.resolvent_derivative",
+    "action.selective_integration",
+    "contour.reconstruct_p3_complex",
+    "contour.reconstruct_p2_real",
+    "contour.identity_reconstruction",
+    "contour.cut_sector_audit",
+    "contour.bound_integrals_decrease",
+    "oracle.identity_scalar",
+    "oracle.identity_matrix_quadrature",
+    "oracle.identity_monte_carlo",
+    "oracle.measure_normalization",
+    "perturb.exact_identities",
+    "perturb.p3_closed_forms",
+    "perturb.quartic_orders",
+    "perturb.scalar_z_series",
+    "bkar.interpolation_identity",
+    "bkar.psd_interpolation",
+    "bkar.tree_counts",
+    "bkar.connected_part_vanishes",
+    "lve.corner_word_invariants",
+    "lve.corner_vs_finite_difference",
+    "lve.vertex_amplitude_shrinks",
+    "lve.partial_sum_improves",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["all"], VERIFY_ALL_CHECKS),
+        (["oracle", "--p", "2", "--N", "1", "--lambda", "0.1,0"],
+         ["oracle.identity_focused", "oracle.identity_focused_mc"]),
+    ],
+)
+def test_verify_check_names_are_pinned(capsys, argv, names):
+    # benchmark tooling reads check runtimes by these names
+    cli.main(["verify", *argv, "--json", "--no-timestamp", "--samples", "2000"])
+    assert [row["check"] for row in json.loads(capsys.readouterr().out)["checks"]] == names
+
+
+def _nan_in_first_result(monkeypatch, owner, attr, when):
+    """Wrap owner.attr so that entry 0 of the first result whose call
+    satisfies when(args) is NaN."""
+    real = getattr(owner, attr)
+    done = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not done and when(args):
+            done.append(True)
+            out = out.copy()
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(owner, attr, spy)
+
+
+@pytest.mark.parametrize(
+    "target, check, owner, attr, when",
+    [
+        ("fc", "fc.functional_equation", fuss_catalan.FcEvaluator, "tp_eval_many",
+         lambda args: args[0].p == 3),
+        ("bkar", "bkar.psd_interpolation", np.linalg, "eigvalsh", lambda args: True),
+    ],
+    ids=["tp_eval_many", "eigvalsh"],
+)
+def test_verify_nan_value_fails_its_check(capsys, monkeypatch, target, check, owner, attr, when):
+    _nan_in_first_result(monkeypatch, owner, attr, when)
+    assert cli.main(["verify", target, "--json", "--no-timestamp"]) == 2
+    rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert rows[check]["got"] == "nan"
+    assert not rows[check]["pass"]
+
+
+def test_every_verify_target_is_a_generator_function():
+    assert all(inspect.isgeneratorfunction(run) for run in verify.TARGETS.values())
+
+
+def test_run_target_times_each_check_by_its_yield(monkeypatch):
+    def stub(cfg):
+        yield CheckResult("bkar.fast", {}, "0", "0", 0.0, True)
+        time.sleep(0.05)
+        yield CheckResult("bkar.slow", {}, "0", "0", 0.0, True)
+
+    monkeypatch.setitem(verify.TARGETS, "bkar", stub)
+    fast, slow = verify.run_target("bkar", verify.VerifyConfig())
+    assert fast.runtime_s < 0.05 <= slow.runtime_s
 
 
 def test_verify_unknown_target_exits_one():
