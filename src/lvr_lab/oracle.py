@@ -3,10 +3,13 @@
 Z is always normalized by its lambda = 0 Gaussian value.  Two independent
 routes are provided:
 
-  * eigen_quadrature: tensor Gauss-Legendre integration of the Wishart
+  * eigen_quadrature: Gauss-Legendre integration of the Wishart
     eigenvalue density Delta(s)^2 * prod exp(-N s_i) on [0, s_max]^N,
     reweighted by exp(-N lam sum s_i^p) (original) or exp(S) (loop
-    vertex), square case, N <= 4;
+    vertex), square case, N <= 4.  Both integrands are a product of 1-d
+    weights g(s_i) and symmetric pair factors u(s_i, s_j), so
+    _vandermonde_sum contracts the sum over node N-tuples index by index
+    with np.einsum, and no n_nodes^N grid is built;
   * monte_carlo: direct sampling of complex Gaussian matrices with
     entry variance 1/N_r, reweighted the same way; deterministic for a
     fixed (seed, n_workers, n_samples) triple via counter-based
@@ -18,9 +21,9 @@ N = 1, one node per spectrum), the Monte Carlo samples through action_s_many.
 
 The samplers' small-matrix algebra runs entry by entry over the batch,
 with no per-matrix BLAS or LAPACK call: _gram gives X = M M^dag as one
-(batch,) array per entry, _trace_power gives Tr X^p from those entries,
-and _spectra reads the spectrum off them at N_l <= 2 (X_00, and t -+ r
-from _spectrum2).  From N_l = 3 the spectrum is LAPACK's eigvalsh.
+(batch,) array per entry, _trace_powers gives Tr X .. Tr X^p from those
+entries, and _spectra reads the spectrum off them at N_l <= 2 (X_00, and
+t -+ r from _spectrum2).  From N_l = 3 the spectrum is LAPACK's eigvalsh.
 lve._grads_batch takes its N = 2 gradient from the same entries and t -+ r.
 
 _mc_mean is the one Monte Carlo driver of the package.  The oracle (RNG key
@@ -32,13 +35,17 @@ non-zero word: NumPy's SeedSequence drops trailing zero words, so (seed, 0)
 would draw the oracle's stream again.
 
 _controlled_mean is the one control-variate helper.  At square shapes the
-Monte Carlo Z subtracts b1 (S1 - E S1) + b2 (S2 - E S2) from exp(S) and
-b (Tr X^p - E Tr X^p) from exp(-N lam Tr X^p), and the vertex amplitude
-the same S1, S2 terms from S.  S1 and S2 are the action's order-lam and
-order-lam^2 vertices; each mean is exact, perturbation.moment(square=True)
-at entry variance 1/N, computed on first use.  The coefficients are fitted
-on the pilot stream, so each estimate stays unbiased and row 0's error is
-its standard error.  Rectangular shapes keep the plain estimator.
+Monte Carlo Z subtracts sum_i b_i (f_i - E f_i) from its weight: exp(S)
+takes the controls S1, S2 and the power sums Tr X .. Tr X^p, and
+exp(-N lam Tr X^p) the power sums Tr X .. Tr X^p; the vertex amplitude
+subtracts the S1, S2 terms alone from S.  S1 and S2 are the action's
+order-lam and order-lam^2 vertices; each mean is exact,
+perturbation.moment(square=True) at entry variance 1/N, computed on first
+use.  The coefficients are fitted on the pilot stream by a hand-written
+elimination (_pilot_coefficients), so each estimate stays unbiased and
+row 0's error is its standard error; a control in the span of the earlier
+ones (at p = 2, S1 = -2N Tr X) gets b = 0.  Rectangular shapes keep the
+plain estimator.
 
 The oracle restricts itself to Re(lam) >= 0: beyond that the original
 integrand is not absolutely integrable on the real spectrum and the
@@ -69,12 +76,17 @@ __all__ = [
     "z_series_fd",
 ]
 
-DEFAULT_NODES = {1: 384, 2: 128, 3: 72, 4: 40}
+DEFAULT_NODES = {1: 384, 2: 128, 3: 72, 4: 72}
 MC_CHUNK = 8192
 # draws of the pilot stream that fits the control-variate coefficients;
 # fitting k of them on n independent draws raises the residual variance by
-# about k/n, 0.05% at k = 2 and 4096
+# about k/n: 0.05% at k = 2 and 4096, 0.12% at z_lvr's k = 5 (p = 3)
 PILOT_SAMPLES = 4096
+# a control whose pilot pivot is at most this share of its own variance lies
+# in the span of the earlier controls, up to rounding, and gets b = 0; on
+# the pilots of both representations at p = 2..4, N = 1..4, such pivots read
+# at most 5e-13 and all others at least 1.9e-4
+_DEPENDENT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,60 +152,73 @@ def _gauss_legendre(n: int) -> tuple:
     return x, w
 
 
-def _on_grid(values: np.ndarray, n: int, *axes: int) -> np.ndarray:
-    """values broadcast onto the n-fold tensor grid of the quadrature nodes:
-    a 1-d array along axes[0], or a node-pair table whose rows run along
-    axes[0] and columns along axes[1] (its diagonal when the two agree).
-    Each entry is the value of the gather values[k] or values[k, l] at
-    grid point (..., k, ..., l, ...)."""
-    if len(axes) == 2 and axes[0] == axes[1]:
-        values, axes = np.diagonal(values), axes[:1]
-    elif len(axes) == 2 and axes[0] > axes[1]:
-        values, axes = values.T, axes[::-1]
-    shape = [1] * n
-    for axis in axes:
-        shape[axis] = len(values)
-    return values.reshape(shape)
-
-
-def _log_measure(n: int, n_nodes: int, s_max: float) -> tuple:
-    """Gauss-Legendre nodes s on [0, s_max] and the log Wishart measure
-    Delta(s)^2 e^{-N sum s} on their n-fold tensor grid."""
+def _nodes(n: int, n_nodes: int, s_max: float) -> tuple:
+    """Gauss-Legendre nodes s on [0, s_max] and the 1-d weights b of the
+    Wishart measure at them: the Gauss weight times e^{-N s}."""
     x, w = _gauss_legendre(n_nodes)
     s = 0.5 * s_max * (x + 1.0)
-    # log-domain 1-d weights: quadrature weight times e^{-N s}
-    log_base = np.log(0.5 * s_max * w) - n * s
-    log_den = np.zeros((n_nodes,) * n)
-    for i in range(n):
-        log_den = log_den + _on_grid(log_base, n, i)
-    # Vandermonde^2 over distinct coordinates of the tensor grid
-    with np.errstate(divide="ignore"):
-        log_vdm = 2.0 * np.log(np.abs(s[:, None] - s[None, :]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            log_den = log_den + _on_grid(log_vdm, n, i, j)
-    return s, log_den
+    return s, 0.5 * s_max * w * np.exp(-n * s)
+
+
+def _vandermonde_sum(g: np.ndarray, u: np.ndarray, n: int) -> complex:
+    """The sum over node N-tuples k of prod_i g[k_i] prod_{i<j} u[k_i, k_j],
+    for a symmetric node-pair table u, contracted index by index:
+
+      N = 1: sum g;
+      N = 2: g^T u g;
+      N = 3: sum_ij g_i g_j u_ij (u diag(g) u^T)_ij;
+      N = 4: sum_ij g_i g_j u_ij v_ij^T u v_ij, with v_ijk = u_ik u_jk g_k.
+
+    No n_nodes^N grid is built.  The contractions run in np.einsum's own
+    loops, with no BLAS call: a mixed real/complex matmul of this size is
+    several times slower than einsum, and the first BLAS call of a process
+    can stall.
+    """
+    if n == 1:
+        return g.sum()
+    if n == 2:
+        return (g * np.einsum("ij,j->i", u, g)).sum()
+    pair = g[:, None] * u * g[None, :]
+    if n == 3:
+        return (pair * np.einsum("ik,k,jk->ij", u, g, u)).sum()
+    v = np.einsum("ik,jk,k->ijk", u, u, g)
+    return (pair * np.einsum("ijl,ijl->ij", np.einsum("ijk,kl->ijl", v, u), v)).sum()
 
 
 def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
+    """Z as the ratio of two _vandermonde_sum's over the Gauss-Legendre nodes
+    on [0, s_max]: the measure's, with g = b and u = (s_i - s_j)^2, and the
+    integrand's.  The integrand's g is b e^{-N lam s^p} (original) or
+    b e^{-L_ii} (loop vertex, L = _action_logs' table; at N = 1 only its
+    diagonal is built), and its u is (s_i - s_j)^2 e^{-L_ij - L_ji} for the
+    loop vertex.
+
+    Nothing over- or underflows at N <= 4, so the sums need no log-domain
+    shift: at the default node counts b lies in [1e-30, 0.07], a pair
+    factor (s_i - s_j)^2 is at most s_max^2 <= 676 (N >= 2), and a term
+    multiplies at most four b's and six pair factors, so every term and
+    partial sum that matters stays far inside the float range.  With
+    Re lam >= 0, |e^{-N lam s^p}| <= 1; on a scan of |lam| from 0.01 to 5
+    over |arg lam| <= pi/2 at p = 2..4, N = 2..4, every loop vertex factor
+    e^{-L_ij} had modulus at most 1 too.  A sum that is not finite all the
+    same raises QuadratureFailure.
+    """
     n, p, lam = params.n_l, params.p, params.lam
-    s, log_den = _log_measure(n, n_nodes, _s_max(params))
-    log_num = log_den.astype(complex)
+    s, b = _nodes(n, n_nodes, _s_max(params))
+    vdm = (s[:, None] - s[None, :]) ** 2
+    u = vdm
     if mode == "original":
-        log_re = -(n * lam) * s.astype(complex) ** p
-        for i in range(n):
-            log_num = log_num + _on_grid(log_re, n, i)
+        g = b * np.exp(-(n * lam) * s.astype(complex) ** p)
     elif n == 1:
         # one node per spectrum: the N = 1 action is the pair table's diagonal
-        log_num = log_num - _action_logs(s[:, None], params)[0][:, 0, 0]
+        g = b * np.exp(-_action_logs(s[:, None], params)[0][:, 0, 0])
     else:
         log_table = _action_logs(s[None], params)[0][0]
-        for i in range(n):
-            for j in range(n):
-                log_num = log_num - _on_grid(log_table, n, i, j)
-    shift = np.max(log_den)
-    den = np.exp(log_den - shift).sum()
-    num = np.exp(log_num - shift).sum()
+        g = b * np.exp(-np.diagonal(log_table))
+        u = vdm * np.exp(-(log_table + log_table.T))
+    num, den = _vandermonde_sum(g, u, n), _vandermonde_sum(b, vdm, n)
+    if not (np.isfinite(num) and np.isfinite(den)):
+        raise QuadratureFailure("eigenvalue quadrature sum is not finite")
     return complex(num / den)
 
 
@@ -245,24 +270,25 @@ def _hermitian_product(a: list, b: list) -> list:
     return out
 
 
-def _trace_power(x: list, p: int) -> np.ndarray:
-    """Tr X^p per sample, real, from _gram's entries of X.
+def _trace_powers(x: list, p: int) -> list:
+    """Tr X^q for q = 1 .. p per sample, real, from _gram's entries of X.
 
-    With h = p // 2, Tr X^p = Tr(X^h X^(p-h)) = sum_ik (X^h)_ik
-    conj((X^(p-h))_ik), as both powers are Hermitian: the diagonal products
-    plus twice the real parts above it.  h - 1 products build X^h, and one
-    more X^(p-h) when p is odd.
+    With h = q // 2, Tr X^q = Tr(X^h X^(q-h)) = sum_ik (X^h)_ik
+    conj((X^(q-h))_ik), as both powers are Hermitian: the diagonal products
+    plus twice the real parts above it.  Each X^k is X^(k-1) X, built up to
+    k = ceil(p/2).
     """
     n = len(x)
-    if p == 1:
-        return _left_sum([x[i][i] for i in range(n)])
-    lo = x
-    for _ in range(p // 2 - 1):
-        lo = _hermitian_product(lo, x)
-    hi = _hermitian_product(lo, x) if p % 2 else lo
-    diag = [lo[i][i] * hi[i][i] for i in range(n)]
-    upper = [2.0 * (lo[i][k] * hi[i][k].conj()).real for i in range(n) for k in range(i + 1, n)]
-    return _left_sum(diag + upper)
+    powers = [None, x]
+    while len(powers) <= (p + 1) // 2:
+        powers.append(_hermitian_product(powers[-1], x))
+    traces = [_left_sum([x[i][i] for i in range(n)])]
+    for q in range(2, p + 1):
+        lo, hi = powers[q // 2], powers[q - q // 2]
+        diag = [lo[i][i] * hi[i][i] for i in range(n)]
+        upper = [2.0 * (lo[i][k] * hi[i][k].conj()).real for i in range(n) for k in range(i + 1, n)]
+        traces.append(_left_sum(diag + upper))
+    return traces
 
 
 def _spectrum2(x: list) -> tuple:
@@ -316,21 +342,56 @@ def _mc_mean(kernel, key: tuple, cfg: McConfig, shape: tuple) -> tuple:
     return mean, err
 
 
+def _pilot_coefficients(e: list, k: int) -> list:
+    """The least-squares coefficients b_1 .. b_k of y on k controls, from
+    the pilot means e = [f_1 .. f_k, y, f_i f_j (i <= j), f_i y].
+
+    The controls are centred on their exact means, so the covariances
+    C_ij = E f_i f_j - E f_i E f_j and r_i = E f_i y - E f_i E y do not
+    cancel.  C b = r is solved by a hand-written elimination C = L D L^T
+    in the controls' order, with no LAPACK call, whose first use in a
+    process can stall.  A control whose pivot D_jj is at most _DEPENDENT
+    times C_jj lies in the span of the earlier ones on the pilot: it gets
+    b_j = 0 and drops out of the solve, so the other b_i are those of the
+    fit without it.
+    """
+    f, ey = e[:k], e[k]
+    products = iter(e[k + 1 :])
+    c = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            c[i][j] = c[j][i] = (next(products) - f[i] * f[j]).real
+    r = [next(products) - f[i] * ey for i in range(k)]
+    low = [[0.0] * k for _ in range(k)]
+    d = [0.0] * k
+    for j in range(k):
+        for i in range(j):
+            if d[i]:
+                low[j][i] = (c[j][i] - sum(low[j][m] * d[m] * low[i][m] for m in range(i))) / d[i]
+        pivot = c[j][j] - sum(low[j][m] * low[j][m] * d[m] for m in range(j))
+        d[j] = pivot if c[j][j] > 0 and pivot > _DEPENDENT * c[j][j] else 0.0
+    z = []
+    for j in range(k):
+        z.append(r[j] - sum(low[j][m] * z[m] for m in range(j)))
+    b = [0.0] * k
+    for j in reversed(range(k)):
+        b[j] = (z[j] / d[j] if d[j] else 0.0) - sum(low[i][j] * b[i] for i in range(j + 1, k))
+    return b
+
+
 def _controlled_mean(
     rows, k: int, key: tuple, pilot_key: tuple, cfg: McConfig, shape: tuple
 ) -> tuple:
-    """Monte Carlo mean of y less k = 0, 1 or 2 control variates, with its
-    standard error.
+    """Monte Carlo mean of y less k control variates, with its standard
+    error.
 
     rows maps a chunk of matrices to (y, f_1, ..., f_k), each control f_i
     with exact mean zero.  The least-squares coefficients b_i of y on the
     f_i are fitted on PILOT_SAMPLES draws of pilot_key, whose rows are
-    [f, y, f_i f_j (i <= j), f_i y]; their normal equations are solved by
-    hand (Cramer's rule at k = 2), with no BLAS call, whose first use in a
-    process can stall.  _mc_mean then averages y - sum_i b_i f_i on key.
-    The b_i do not depend on those draws, so the estimate is unbiased and
-    row 0's error is its standard error.  At k = 0 there is no pilot and y
-    is averaged as it is.
+    [f, y, f_i f_j (i <= j), f_i y], by _pilot_coefficients.  _mc_mean
+    then averages y - sum_i b_i f_i on key.  The b_i do not depend on
+    those draws, so the estimate is unbiased and row 0's error is its
+    standard error.  At k = 0 there is no pilot and y is averaged as it is.
     """
     coef = ()
     if k:
@@ -341,46 +402,50 @@ def _controlled_mean(
             return np.stack([*f, y, *pairs, *(f_i * y for f_i in f)])
 
         pilot = McConfig(n_samples=PILOT_SAMPLES, seed=cfg.seed)
-        e = list(_mc_mean(pilot_kernel, pilot_key, pilot, shape)[0])
-        # the controls are centred on their exact means, so these
-        # differences of moments do not cancel
-        if k == 1:
-            e1, ey, e11, e1y = e
-            coef = ((e1y - e1 * ey) / (e11 - e1 * e1).real,)
-        else:
-            e1, e2, ey, e11, e12, e22, e1y, e2y = e
-            c11, c12, c22 = (e11 - e1 * e1).real, (e12 - e1 * e2).real, (e22 - e2 * e2).real
-            r1, r2 = e1y - e1 * ey, e2y - e2 * ey
-            det = c11 * c22 - c12 * c12
-            coef = ((c22 * r1 - c12 * r2) / det, (c11 * r2 - c12 * r1) / det)
+        coef = _pilot_coefficients(list(_mc_mean(pilot_kernel, pilot_key, pilot, shape)[0]), k)
 
     def kernel(m):
         y, *f = rows(m)
         for b, f_i in zip(coef, f):
-            y = y - b * f_i
+            if b:
+                y = y - b * f_i
         return y
 
     return _mc_mean(kernel, key, cfg, shape)
 
 
-def _vertex_controls(params: ModelParams):
-    """The order-lam and order-lam^2 vertices S1 and S2 of the action as a
-    map from (batch, N) spectra to their (2, batch) values less their exact
-    Gaussian means, perturbation.moment at entry variance 1/N.  Each vertex
-    is a trace polynomial, evaluated on the power sums Tr X^q = sum_i s_i^q."""
+@lru_cache(maxsize=16)
+def _trace_means(n: int, p: int) -> tuple:
+    """E Tr X^q for q = 1 .. p at square N x N shape, entry variance 1/N:
+    perturbation.moment, exact, as floats."""
+    return tuple(
+        float(moment(TracePolynomial.single(TraceMonomial((q,))), square=True).evaluate(n, n))
+        for q in range(1, p + 1)
+    )
+
+
+def _vertex_controls(params: ModelParams, n_traces: int = 0):
+    """The order-lam and order-lam^2 vertices S1 and S2 of the action, then
+    the power sums Tr X^q for q = 1 .. n_traces (at most 2p - 2), as a map
+    from (batch, N) spectra to their (2 + n_traces, batch) values less
+    their exact Gaussian means, perturbation.moment at entry variance 1/N.
+    Each vertex is a trace polynomial, evaluated on the power sums
+    Tr X^q = sum_i s_i^q."""
     n, p = params.n_l, params.p
     vertices = []
     for tp in (closed_form_s1(p), closed_form_s2(p)):
         terms = [(float(c.evaluate(n, n) * n**mono.tr0), mono.powers) for mono, c in tp.items()]
         vertices.append((terms, float(moment(tp, square=True).evaluate(n, n))))
+    trace_means = _trace_means(n, n_traces)
 
     def rows(s: np.ndarray) -> np.ndarray:
         # traces[q - 1] = Tr X^q for q = 1 .. 2p - 2, the highest vertex degree
         s_q = np.cumprod(np.broadcast_to(s.T, (2 * p - 2, *s.T.shape)), axis=0)
         traces = _left_sum(s_q.transpose(1, 0, 2))
         return np.stack([
-            sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
-            for terms, mean in vertices
+            *(sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
+              for terms, mean in vertices),
+            *(traces[q] - mean for q, mean in enumerate(trace_means)),
         ])
 
     return rows
@@ -397,29 +462,29 @@ def _vertex_rows(params: ModelParams, controls, m: np.ndarray) -> tuple:
 def _mc_rows(params: ModelParams, mode: str) -> tuple:
     """The Monte Carlo rows of one representation, as a map from a chunk of
     matrices to (y, f_1, ..., f_k), and k.  At square shapes the weight
-    exp(S) takes the controls S1 and S2 of _vertex_controls (k = 2) and
-    exp(-N lam Tr X^p) the control Tr X^p (k = 1), each less its exact
-    Gaussian mean; rectangular shapes take none (k = 0).  Tr X^p is
-    _trace_power's, real."""
+    exp(S) takes the controls S1, S2 and Tr X .. Tr X^p of _vertex_controls
+    (k = p + 2), and exp(-N lam Tr X^p) the controls Tr X .. Tr X^p
+    (k = p), each less its exact Gaussian mean; rectangular shapes take
+    none (k = 0).  The original representation's traces are
+    _trace_powers', real."""
     n, p = params.n_l, params.p
     square = n == params.n_r
     if mode == "lvr":
-        controls = _vertex_controls(params) if square else lambda s: ()
+        controls = _vertex_controls(params, p) if square else lambda s: ()
 
         def rows(m):
             s_total, *f = _vertex_rows(params, controls, m)
             return (np.exp(s_total), *f)
 
-        return rows, 2 if square else 0
-    trace_p = TracePolynomial.single(TraceMonomial((p,)))
-    trace_mean = float(moment(trace_p, square=True).evaluate(n, n)) if square else None
+        return rows, p + 2 if square else 0
+    trace_means = _trace_means(n, p) if square else ()
 
     def rows(m):
-        tr = _trace_power(_gram(m), p)
-        y = np.exp(-params.n_r * params.lam * tr)
-        return (y, tr - trace_mean) if square else (y,)
+        traces = _trace_powers(_gram(m), p)
+        y = np.exp(-params.n_r * params.lam * traces[-1])
+        return (y, *(tr - mean for tr, mean in zip(traces, trace_means)))
 
-    return rows, 1 if square else 0
+    return rows, len(trace_means)
 
 
 def _mc_z(params: ModelParams, cfg: McConfig, mode: str) -> ZResult:
@@ -479,7 +544,8 @@ def measure_self_test(n: int) -> float:
     normalization; a self-test that the Vandermonde^2 measure is right."""
     if not 1 <= n <= 4:
         raise ValueError("self-test covers 1 <= N <= 4")
-    total = float(np.exp(_log_measure(n, DEFAULT_NODES[n], 40.0 / n)[1]).sum())
+    s, b = _nodes(n, DEFAULT_NODES[n], 40.0 / n)
+    total = float(_vandermonde_sum(b, (s[:, None] - s[None, :]) ** 2, n))
     want = float(z0_closed_form(n))
     return abs(total - want) / want
 

@@ -473,12 +473,15 @@ def test_controlled_vertex_amplitude_matches_plain_estimate(s_of_matrices, p, n,
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_vertex_control_rows_have_exact_means(p, n):
-    # the vertex amplitude's and z_lvr's controls S1 and S2, and z_original's Tr X^p
+    # z_lvr's controls S1, S2 and Tr X .. Tr X^p from the spectrum (the vertex
+    # amplitude's are the first two), and z_original's Tr X .. Tr X^p from
+    # the Gram entries
     pr = params_sq(p, 0.05, n)
     raw = np.random.Generator(np.random.Philox((21, 11))).standard_normal((200_000, n, n, 2))
     m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)
-    trace_row = oracle._mc_rows(pr, "original")[0](m)[1]
-    rows = np.vstack([oracle._vertex_controls(pr)(_spectra(m)), trace_row])
+    trace_rows = oracle._mc_rows(pr, "original")[0](m)[1:]
+    rows = np.vstack([oracle._vertex_controls(pr, p)(_spectra(m)), *trace_rows])
+    assert rows.shape == (2 * p + 2, 200_000)
     sigma = rows.std(axis=1) / math.sqrt(rows.shape[1])
     assert np.all(np.abs(rows.mean(axis=1)) <= 4 * sigma)
 

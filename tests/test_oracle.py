@@ -71,7 +71,7 @@ def test_frozen_two_by_two():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "lam", [0.05, 0.1, 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))]
 )
@@ -214,7 +214,7 @@ def test_quadrature_table_is_the_homotopy_table(homotopy_logs, p, n):
     logs over all node pairs is the homotopy's table to 1e-15 absolute."""
     lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n)
-    s = oracle._log_measure(n, oracle.DEFAULT_NODES[n], oracle._s_max(pr))[0]
+    s = oracle._nodes(n, oracle.DEFAULT_NODES[n], oracle._s_max(pr))[0]
     got = lvr_action._action_logs(s[None], pr)[0][0]
     assert np.max(np.abs(got - homotopy_logs(s[None], pr)[0][0])) <= 1e-15
 
@@ -225,7 +225,7 @@ def test_n1_quadrature_logs_are_the_homotopy_diagonal(homotopy_logs, p):
     principal log is its own homotopy's to 1e-15 absolute."""
     lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     pr = ModelParams(p=p, lam=lam, n_l=1, n_r=1)
-    s = oracle._log_measure(1, oracle.DEFAULT_NODES[1], oracle._s_max(pr))[0]
+    s = oracle._nodes(1, oracle.DEFAULT_NODES[1], oracle._s_max(pr))[0]
     got = lvr_action._action_logs(s[:, None], pr)[0][:, 0, 0]
     want = homotopy_logs(s[:, None], pr)[0][:, 0, 0]
     assert np.max(np.abs(got - want)) <= 1e-15
@@ -233,20 +233,27 @@ def test_n1_quadrature_logs_are_the_homotopy_diagonal(homotopy_logs, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_n1_quadrature_is_the_pair_table_diagonal_at_real_coupling(p):
+    """At N = 1 the quadrature builds only the diagonal of the node-pair
+    table; at real coupling it is the full table's diagonal to the bit."""
     pr = ModelParams(p=p, lam=0.05, n_l=1, n_r=1)
     n_nodes = oracle.DEFAULT_NODES[1]
-    s, log_den = oracle._log_measure(1, n_nodes, oracle._s_max(pr))
+    s, b = oracle._nodes(1, n_nodes, oracle._s_max(pr))
     log_table = lvr_action._action_logs(s[None], pr)[0][0]
-    shift = np.max(log_den)
-    num = np.exp(log_den.astype(complex) - np.diag(log_table) - shift).sum()
-    want = complex(num / np.exp(log_den - shift).sum())
+    want = complex((b * np.exp(-np.diag(log_table))).sum() / b.sum())
     assert oracle._quadrature_ratio(pr, "lvr", n_nodes) == want
 
 
+# the contracted quadrature against the gather grid, relative: over the cases
+# of test_contracted_quadrature_is_the_gather_grid the largest difference
+# was 1.2e-15 for the measure and 2.5e-15 for the ratio
+GRID_REL = 1e-14
+
+
 def gather_quadrature(params, mode, n_nodes):
-    """The eigenvalue grid built by np.indices gathers, as the oracle built
-    it before it broadcast its 1-d arrays and node-pair tables: the log
-    measure and the quadrature ratio."""
+    """The eigenvalue quadrature on its n_nodes^N tensor grid, built by
+    np.indices gathers in the log domain, as the oracle built it before it
+    contracted the sums index by index: the log measure Delta(s)^2
+    e^{-N sum s} with the Gauss weights, and the quadrature ratio."""
     n, lam = params.n_l, params.lam
     s_max = oracle._s_max(params)
     x, w = oracle._gauss_legendre(n_nodes)
@@ -278,15 +285,34 @@ def gather_quadrature(params, mode, n_nodes):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_broadcast_grid_is_the_gather_grid(n):
-    # the oracle's own node counts, but fewer at N = 4, whose 40^4 index grid
-    # would take 80 MB
+def test_contracted_quadrature_is_the_gather_grid(n):
+    """The contracted sums are the tensor grid's: the measure and the ratio
+    agree with gather_quadrature to GRID_REL relative, at both p, both
+    representations and the suite's complex coupling."""
+    # the oracle's own node counts, but fewer at N = 4, whose 72^4 index grid
+    # would take 860 MB
     n_nodes = oracle.DEFAULT_NODES[n] if n < 4 else 24
     for p, mode in ((2, "original"), (2, "lvr"), (3, "original"), (3, "lvr")):
         pr = ModelParams(p=p, lam=LAM_C, n_l=n, n_r=n)
         log_den, ratio = gather_quadrature(pr, mode, n_nodes)
-        assert np.array_equal(oracle._log_measure(n, n_nodes, oracle._s_max(pr))[1], log_den)
-        assert oracle._quadrature_ratio(pr, mode, n_nodes) == ratio
+        s, b = oracle._nodes(n, n_nodes, oracle._s_max(pr))
+        measure = oracle._vandermonde_sum(b, (s[:, None] - s[None, :]) ** 2, n)
+        assert abs(measure - np.exp(log_den).sum()) <= GRID_REL * measure
+        got = oracle._quadrature_ratio(pr, mode, n_nodes)
+        assert abs(got - ratio) <= GRID_REL * abs(ratio)
+
+
+def test_non_finite_quadrature_sum_raises(monkeypatch):
+    """The quadrature sums in the linear domain; a sum that is not finite
+    raises, on the N = 1 diagonal route and on the pair-table route."""
+
+    def nan_logs(s, params):
+        return np.full(s.shape + (s.shape[1],), np.nan + 0j), np.zeros(s.shape, complex)
+
+    monkeypatch.setattr(oracle, "_action_logs", nan_logs)
+    for n in (1, 3):
+        with pytest.raises(QuadratureFailure):
+            z_lvr(ModelParams(p=2, lam=0.05, n_l=n, n_r=n))
 
 
 def test_fd_series_extraction():
@@ -329,14 +355,14 @@ def test_perturbative_bridge():
 # amplitudes those of the three Monte Carlo loops that the driver replaced.
 LAM_C = 0.05 * np.exp(1j * np.pi / 4)
 PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
-    (1, "lvr", 2): 0.7467266920530694 - 0.16210996529322175j,
-    (1, "original", 2): 0.7462743932242413 - 0.16266362308780277j,
-    (1, "lvr", 3): 0.27991386850866284 - 0.1900399617227506j,
-    (1, "original", 3): 0.2837440495932855 - 0.19082247611704237j,
-    (3, "lvr", 2): 0.7466749014227486 - 0.16219263870559458j,
-    (3, "original", 2): 0.7466872768594769 - 0.1622323643029012j,
-    (3, "lvr", 3): 0.27890110351012015 - 0.1901714210806424j,
-    (3, "original", 3): 0.28131454071827267 - 0.19120618768904096j,
+    (1, "lvr", 2): 0.7466946763887782 - 0.16215226595205035j,
+    (1, "original", 2): 0.746499071005679 - 0.16236513219622623j,
+    (1, "lvr", 3): 0.2803669712154197 - 0.19001768916761438j,
+    (1, "original", 3): 0.28110569801769003 - 0.19034038305294965j,
+    (3, "lvr", 2): 0.7466912229091113 - 0.16217107396091449j,
+    (3, "original", 2): 0.746690226208605 - 0.1622284460077979j,
+    (3, "lvr", 3): 0.28034631034983104 - 0.18991538861813967j,
+    (3, "original", 3): 0.2790320947740223 - 0.19061482960249473j,
 }
 # plain (uncontrolled) means and errors at lam = LAM_C, 2 x 3, three workers
 PINNED_RECTANGULAR = {  # (representation, p): (mean, standard error)
@@ -396,6 +422,108 @@ def test_controlled_z_matches_plain_estimate(p, n, mode):
     assert est.error_estimate < plain_err
 
 
+def narrow_rows(pr, mode):
+    """The rows of one representation with the narrow control family each
+    took before the power sums, and its size: S1 and S2 for exp(S), Tr X^p
+    alone for exp(-N lam Tr X^p)."""
+    rows = oracle._mc_rows(pr, mode)[0]
+    if mode == "lvr":
+        return (lambda m: rows(m)[:3]), 2
+
+    def trace_p(m):
+        y, *traces = rows(m)
+        return y, traces[-1]
+
+    return trace_p, 1
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_power_sum_controls_beat_the_narrow_family_on_held_out_draws(seed):
+    """At the mc-oracle points and sizes the power-sum family, fitted on the
+    pilot, never gives a larger standard error on the main draws than the
+    controls it extends, fitted on the same pilot."""
+    for p in (2, 3):
+        pr = ModelParams(p=p, lam=LAM_C, n_l=p, n_r=p)
+        cfg = McConfig(n_samples=60000, seed=seed, n_workers=2)
+        for mode, fn in (("lvr", z_lvr), ("original", z_original)):
+            rows, k = narrow_rows(pr, mode)
+            narrow = oracle._controlled_mean(rows, k, (seed,), (seed, 4), cfg, (p, p))[1]
+            assert fn(pr, cfg).error_estimate <= narrow, (p, mode)
+
+
+def pilot_fit(rows, k, n=2, seed=21):
+    """The pilot means that _controlled_mean hands _pilot_coefficients at
+    shape (n, n), and the coefficients fitted on them."""
+    fit, seen = oracle._pilot_coefficients, []
+
+    def capture(e, k):
+        seen.append((e, fit(e, k)))
+        return seen[-1][1]
+
+    with mock.patch.object(oracle, "_pilot_coefficients", capture):
+        oracle._controlled_mean(rows, k, (seed,), (seed, 4), McConfig(n_samples=10, seed=seed), (n, n))
+    return seen[0]
+
+
+def test_pilot_solve_is_cramers_rule_at_one_and_two_controls():
+    pr = ModelParams(p=2, lam=LAM_C, n_l=2, n_r=2)
+    e, (b,) = pilot_fit(narrow_rows(pr, "original")[0], 1)
+    e1, ey, e11, e1y = e
+    assert abs(b - (e1y - e1 * ey) / (e11 - e1 * e1).real) <= 1e-14 * abs(b)
+    e, (b1, b2) = pilot_fit(narrow_rows(pr, "lvr")[0], 2)
+    e1, e2, ey, e11, e12, e22, e1y, e2y = e
+    c11, c12, c22 = (e11 - e1 * e1).real, (e12 - e1 * e2).real, (e22 - e2 * e2).real
+    r1, r2 = e1y - e1 * ey, e2y - e2 * ey
+    det = c11 * c22 - c12 * c12
+    assert abs(b1 - (c22 * r1 - c12 * r2) / det) <= 1e-14 * abs(b1)
+    assert abs(b2 - (c11 * r2 - c12 * r1) / det) <= 1e-14 * abs(b2)
+
+
+@pytest.mark.parametrize("mode", ["lvr", "original"])
+def test_dependent_control_gets_no_coefficient(mode):
+    """A control in the span of the earlier ones gets b = 0, and the estimate
+    is the fit without it: a control repeated three times over in either
+    representation, and Tr X after S1 = -2N Tr X at p = 2.  At N = 3 neither
+    is exactly collinear in floating point: 3 f and -6 Tr X round."""
+    pr = ModelParams(p=2, lam=LAM_C, n_l=3, n_r=3)
+    rows, k = oracle._mc_rows(pr, mode)
+
+    def tripled(m):
+        r = rows(m)
+        return (*r, 3.0 * r[1])
+
+    def without_trace(m):
+        y, s1, s2, _, trace2 = rows(m)
+        return y, s1, s2, trace2
+
+    # (rows, k, index of the dependent control, rows without it, their k)
+    cases = [(tripled, k + 1, k, rows, k)]
+    if mode == "lvr":
+        cases.append((rows, k, 2, without_trace, k - 1))
+    cfg = McConfig(n_samples=5000, seed=21)
+    for with_rows, k_with, dependent, without_rows, k_without in cases:
+        assert pilot_fit(with_rows, k_with, 3)[1][dependent] == 0
+        got = oracle._controlled_mean(with_rows, k_with, (21,), (21, 4), cfg, (3, 3))[0][0]
+        want = oracle._controlled_mean(without_rows, k_without, (21,), (21, 4), cfg, (3, 3))[0][0]
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_pilot_solve_calls_no_lapack(monkeypatch):
+    """z_lvr and z_original fit their controls with LAPACK's solvers patched
+    to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK solver called")
+
+    for name in ("solve", "lstsq", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = McConfig(n_samples=1000, seed=5)
+    for p in (2, 3):
+        pr = ModelParams(p=p, lam=LAM_C, n_l=p, n_r=p)
+        z_lvr(pr, cfg)
+        z_original(pr, cfg)
+
+
 def test_rectangular_monte_carlo_is_the_plain_estimator(s_of_matrices):
     """Rectangular shapes take no control and draw no pilot: z_lvr and
     z_original are the plain means of exp(S) and exp(-N_r lam Tr X^p), bit
@@ -405,7 +533,7 @@ def test_rectangular_monte_carlo_is_the_plain_estimator(s_of_matrices):
         pr = ModelParams(p=p, lam=LAM_C, n_l=2, n_r=3)
 
         def original(m):
-            return np.exp(-3 * pr.lam * oracle._trace_power(oracle._gram(m), p))
+            return np.exp(-3 * pr.lam * oracle._trace_powers(oracle._gram(m), p)[-1])
 
         plain = {"lvr": lambda m: np.exp(s_of_matrices(pr, m)), "original": original}
         for mode, fn in (("lvr", z_lvr), ("original", z_original)):
@@ -453,10 +581,12 @@ def test_gram_and_trace_power_are_the_matmul_route(n_l, extra, p, rank1, scale, 
             assert np.array_equal(entries[k][i], entries[i][k].conj())
     got = np.moveaxis(np.array(entries), 2, 0)
     assert np.all(np.abs(got - x) <= 1e-13 * np.abs(x).max(axis=(1, 2))[:, None, None])
-    want = np.trace(np.linalg.matrix_power(x, p), axis1=1, axis2=2)
-    tr = oracle._trace_power(entries, p)
-    assert tr.dtype == float
-    assert np.all(np.abs(tr - want) <= 1e-13 * np.abs(want))
+    traces = oracle._trace_powers(entries, p)
+    assert len(traces) == p
+    for q, tr in enumerate(traces, 1):
+        want = np.trace(np.linalg.matrix_power(x, q), axis1=1, axis2=2)
+        assert tr.dtype == float
+        assert np.all(np.abs(tr - want) <= 1e-13 * np.abs(want))
 
 
 @settings(max_examples=80, deadline=None)
