@@ -117,11 +117,11 @@ def _stability_gate(lam: complex) -> None:
         )
 
 
-def _s_max(params: ModelParams) -> float:
+def _s_max(n: int) -> float:
     # Re(lam) >= 0 means the interaction only suppresses the integrand,
     # so the window is set by the Gaussian factor e^{-n s} alone; the
     # extra margin absorbs the polynomial Vandermonde growth.
-    return (40.0 + 6.0 * params.n_l) / params.n_l
+    return (40.0 + 6.0 * n) / n
 
 
 @lru_cache(maxsize=16)
@@ -204,7 +204,7 @@ def _quadrature_ratio(params: ModelParams, mode: str, n_nodes: int) -> complex:
     same raises QuadratureFailure.
     """
     n, p, lam = params.n_l, params.p, params.lam
-    s, b = _nodes(n, n_nodes, _s_max(params))
+    s, b = _nodes(n, n_nodes, _s_max(n))
     vdm = (s[:, None] - s[None, :]) ** 2
     u = vdm
     if mode == "original":
@@ -541,10 +541,11 @@ def z0_closed_form(n: int) -> Fraction:
 
 def measure_self_test(n: int) -> float:
     """Relative error of the quadrature against the closed-form Gaussian
-    normalization; a self-test that the Vandermonde^2 measure is right."""
+    normalization, on the quadrature's own nodes and window; a self-test
+    that the Vandermonde^2 measure is right."""
     if not 1 <= n <= 4:
         raise ValueError("self-test covers 1 <= N <= 4")
-    s, b = _nodes(n, DEFAULT_NODES[n], 40.0 / n)
+    s, b = _nodes(n, DEFAULT_NODES[n], _s_max(n))
     total = float(_vandermonde_sum(b, (s[:, None] - s[None, :]) ** 2, n))
     want = float(z0_closed_form(n))
     return abs(total - want) / want

@@ -8,14 +8,18 @@ enumerating Wick pairings with ribbon-graph cycle counting, or, in the
 square case, by a Schwinger-Dyson recursion that has no degree bound.
 
 The effective-action expansion feeds on the spectral substitution
-X_A = X - lambda X^p + p lambda^2 X^(2p-1) + O(lambda^3) and reproduces
-the order-lambda and order-lambda^2 interaction vertices, which are then
-compared against the direct expansion of log Z.
+X_A = X T_p(-lambda X^(p-1)), whose q-th power has the Raney numbers
+q/(np+q) C(np+q, n) as its lambda^n coefficients, and gives the
+interaction vertices S_k at every order.  log Z follows from exp(S) by one
+exp/log series recursion for either representation, so the two expansions
+are compared order by order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -327,70 +331,50 @@ def moment(tp: TracePolynomial, *, square: bool = False) -> BivariatePoly:
 # ---------------------------------------------------------------- series
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [TracePolynomial.zero() for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
+def _check_order(order) -> None:
+    if not (isinstance(order, int) and order >= 1):
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
 
 
-def _tr_gram_power(q: int, side: str, p: int, order: int) -> list:
-    """lambda-series of Tr[X_A^q] after X_A = X - lam X^p + p lam^2 X^(2p-1).
-
-    Zero powers contribute the trace of the identity on their side: N_l on
-    the left, N_r on the right, folded into the coefficient.
-    """
-    empty = TraceMonomial()
-    if q == 0:
-        const = BivariatePoly.nl() if side == "left" else BivariatePoly.nr()
-        out = [TracePolynomial.single(empty, const)]
-    else:
-        out = [
-            TracePolynomial.single(TraceMonomial((q,))),
-            TracePolynomial.single(TraceMonomial((p - 1 + q,)), -q),
-            TracePolynomial.single(
-                TraceMonomial((2 * p - 2 + q,)),
-                Fraction(2 * q * p + q * (q - 1), 2),
-            ),
-        ]
-    out = out[: order + 1]
-    out += [TracePolynomial.zero()] * (order + 1 - len(out))
-    return out
+def _raney(p: int, q: int, n: int) -> int:
+    """lam^n coefficient of T_p(lam)^q: the Raney number q/(np+q) C(np+q, n)
+    (Graham, Knuth and Patashnik, Concrete Mathematics, eq. 5.60), FC_p(n)
+    at q = 1, and 1 then 0 at q = 0."""
+    return q * math.comb(n * p + q, n) // (n * p + q) if q else int(n == 0)
 
 
 def effective_action_series(p: int, order: int = 2) -> list:
-    """Interaction vertices S_1, S_2 of the loop vertex action.
+    """Interaction vertices S_1 .. S_order of the loop vertex action.
 
     Expands S = sum_m ((-lam)^m / m) * sum_{vec k in {0..p-1}^m}
-    Tr_left[X_A^{sum k_i}] * Tr_right[X_A^{m(p-1) - sum k_i}] through
-    order lam^order and returns the coefficient of lam^m for m = 1..order.
-    Rectangular-aware: left/right zero-power traces carry N_l vs N_r.
+    Tr_left[X_A^{sum k_i}] * Tr_right[X_A^{m(p-1) - sum k_i}] and returns
+    the coefficient of lam^k for k = 1..order.  The lam^n term of
+    X_A^q = X^q T_p(-lam X^(p-1))^q is (-1)^n Raney_p(q, n) X^(q + n(p-1)),
+    so S_k sums over m, sum k_i and the orders n1 + n2 = k - m of the two
+    traces.  Rectangular-aware: left/right zero-power traces carry N_l vs N_r.
     """
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 are supported")
-    total = [TracePolynomial.zero() for _ in range(order + 1)]
-    for m in range(1, order + 1):
-        inner_order = order - m
-        block = [TracePolynomial.zero() for _ in range(inner_order + 1)]
-        for kvec in itertools.product(range(p), repeat=m):
-            kl = sum(kvec)
-            kr = m * (p - 1) - kl
-            left = _tr_gram_power(kl, "left", p, inner_order)
-            right = _tr_gram_power(kr, "right", p, inner_order)
-            prod = _series_mul(left, right, inner_order)
-            for d in range(inner_order + 1):
-                block[d] = block[d] + prod[d]
-        sign = Fraction((-1) ** m, m)
-        for d in range(inner_order + 1):
-            total[m + d] = total[m + d] + block[d].scale(sign)
-    return total[1 : order + 1]
+    _check_order(order)
+    out = []
+    for k in range(1, order + 1):
+        terms: dict = {}
+        for m in range(1, k + 1):
+            sums = Counter(map(sum, itertools.product(range(p), repeat=m)))
+            for kl, count in sums.items():
+                kr = m * (p - 1) - kl
+                for n1 in range(k - m + 1):
+                    n2 = k - m - n1
+                    c = count * _raney(p, kl, n1) * _raney(p, kr, n2)
+                    if c == 0:
+                        continue
+                    ql, qr = kl + n1 * (p - 1), kr + n2 * (p - 1)
+                    # a zero power is the trace of the identity on its side
+                    size = BivariatePoly.nl() if ql == 0 else BivariatePoly.nr() if qr == 0 else 1
+                    mono = TraceMonomial(tuple(q for q in (ql, qr) if q))
+                    terms[mono] = terms.get(mono, 0) + size * Fraction((-1) ** k * c, m)
+        out.append(TracePolynomial(terms))
+    return out
 
 
 def closed_form_s1(p: int) -> TracePolynomial:
@@ -430,35 +414,37 @@ def logz_series(
     *,
     square: bool = False,
 ) -> list:
-    """Connected coefficients c_1, c_2 of log Z as exact polynomials.
+    """Connected coefficients c_1 .. c_order of log Z as exact polynomials.
 
-    original: cumulants of -N_r lam TrX^p under the Gaussian measure.
-    lvr: cumulants of the loop vertex action exp(S).
+    original: S = -N_r lam TrX^p under the Gaussian measure.
+    lvr: S = sum_k lam^k S_k, the loop vertex action's vertices.
+    Both take one route: exp(S) = sum_n lam^n E_n with
+    n E_n = sum_k k S_k E_(n-k), Z_n = <E_n>, and log Z from
+    n c_n = n Z_n - sum_(k<n) k c_k Z_(n-k).
     square=True folds N_r onto N_l and removes the pairing degree cap.
     """
     if representation not in ("original", "lvr"):
         raise ValueError("representation must be 'original' or 'lvr'")
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 are supported")
+    _check_order(order)
     if representation == "original":
-        t = TracePolynomial.single(TraceMonomial((p,)))
-        prefactor = BivariatePoly.nl() if square else BivariatePoly.nr()
-        c1 = -prefactor * moment(t, square=square)
-        out = [c1]
-        if order == 2:
-            m2 = moment(t * t, square=square)
-            m1 = moment(t, square=square)
-            out.append(prefactor * prefactor * (m2 - m1 * m1) * Fraction(1, 2))
-        return out
-    s_terms = effective_action_series(p, order=2)
-    s1 = s_terms[0]
-    c1 = moment(s1, square=square)
-    out = [c1]
-    if order == 2:
-        s2 = s_terms[1]
-        var = moment(s1 * s1, square=square) - c1 * c1
-        out.append(moment(s2, square=square) + var * Fraction(1, 2))
-    return out
+        s = [TracePolynomial.single(TraceMonomial((p,)), -BivariatePoly.nr())]
+        s += [TracePolynomial.zero()] * (order - 1)
+    else:
+        s = effective_action_series(p, order)
+    e = [TracePolynomial.single(TraceMonomial())]
+    z = [BivariatePoly.const(1)]
+    c: list = []
+    for n in range(1, order + 1):
+        e_n = TracePolynomial.zero()
+        for k in range(1, n + 1):
+            e_n = e_n + (s[k - 1] * e[n - k]).scale(Fraction(k, n))
+        e.append(e_n)
+        z.append(moment(e_n, square=square))
+        c_n = z[n]
+        for k in range(1, n):
+            c_n = c_n - c[k - 1] * z[n - k] * Fraction(k, n)
+        c.append(c_n)
+    return c
 
 
 @dataclass(frozen=True)

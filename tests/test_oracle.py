@@ -148,7 +148,7 @@ def test_z_decreases_in_real_coupling():
 
 
 def test_measure_self_test():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert measure_self_test(n) <= 1e-10
 
 
@@ -214,7 +214,7 @@ def test_quadrature_table_is_the_homotopy_table(homotopy_logs, p, n):
     logs over all node pairs is the homotopy's table to 1e-15 absolute."""
     lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     pr = ModelParams(p=p, lam=lam, n_l=n, n_r=n)
-    s = oracle._nodes(n, oracle.DEFAULT_NODES[n], oracle._s_max(pr))[0]
+    s = oracle._nodes(n, oracle.DEFAULT_NODES[n], oracle._s_max(pr.n_l))[0]
     got = lvr_action._action_logs(s[None], pr)[0][0]
     assert np.max(np.abs(got - homotopy_logs(s[None], pr)[0][0])) <= 1e-15
 
@@ -225,7 +225,7 @@ def test_n1_quadrature_logs_are_the_homotopy_diagonal(homotopy_logs, p):
     principal log is its own homotopy's to 1e-15 absolute."""
     lam = 0.05 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     pr = ModelParams(p=p, lam=lam, n_l=1, n_r=1)
-    s = oracle._nodes(1, oracle.DEFAULT_NODES[1], oracle._s_max(pr))[0]
+    s = oracle._nodes(1, oracle.DEFAULT_NODES[1], oracle._s_max(pr.n_l))[0]
     got = lvr_action._action_logs(s[:, None], pr)[0][:, 0, 0]
     want = homotopy_logs(s[:, None], pr)[0][:, 0, 0]
     assert np.max(np.abs(got - want)) <= 1e-15
@@ -237,7 +237,7 @@ def test_n1_quadrature_is_the_pair_table_diagonal_at_real_coupling(p):
     table; at real coupling it is the full table's diagonal to the bit."""
     pr = ModelParams(p=p, lam=0.05, n_l=1, n_r=1)
     n_nodes = oracle.DEFAULT_NODES[1]
-    s, b = oracle._nodes(1, n_nodes, oracle._s_max(pr))
+    s, b = oracle._nodes(1, n_nodes, oracle._s_max(pr.n_l))
     log_table = lvr_action._action_logs(s[None], pr)[0][0]
     want = complex((b * np.exp(-np.diag(log_table))).sum() / b.sum())
     assert oracle._quadrature_ratio(pr, "lvr", n_nodes) == want
@@ -255,7 +255,7 @@ def gather_quadrature(params, mode, n_nodes):
     contracted the sums index by index: the log measure Delta(s)^2
     e^{-N sum s} with the Gauss weights, and the quadrature ratio."""
     n, lam = params.n_l, params.lam
-    s_max = oracle._s_max(params)
+    s_max = oracle._s_max(params.n_l)
     x, w = oracle._gauss_legendre(n_nodes)
     s = 0.5 * s_max * (x + 1.0)
     log_base = np.log(0.5 * s_max * w) - n * s
@@ -295,7 +295,7 @@ def test_contracted_quadrature_is_the_gather_grid(n):
     for p, mode in ((2, "original"), (2, "lvr"), (3, "original"), (3, "lvr")):
         pr = ModelParams(p=p, lam=LAM_C, n_l=n, n_r=n)
         log_den, ratio = gather_quadrature(pr, mode, n_nodes)
-        s, b = oracle._nodes(n, n_nodes, oracle._s_max(pr))
+        s, b = oracle._nodes(n, n_nodes, oracle._s_max(pr.n_l))
         measure = oracle._vandermonde_sum(b, (s[:, None] - s[None, :]) ** 2, n)
         assert abs(measure - np.exp(log_den).sum()) <= GRID_REL * measure
         got = oracle._quadrature_ratio(pr, mode, n_nodes)

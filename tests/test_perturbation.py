@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from lvr_lab.errors import DegreeTooLarge
+from lvr_lab.fuss_catalan import fc_numbers_table
 from lvr_lab.perturbation import (
+    _raney,
     BivariatePoly,
     TraceMonomial,
     TracePolynomial,
@@ -154,8 +156,19 @@ class TestEffectiveAction:
     def test_validation(self):
         with pytest.raises(ValueError):
             effective_action_series(1, 2)
-        with pytest.raises(ValueError):
-            effective_action_series(2, 3)
+        for order in (0, 2.5):
+            with pytest.raises(ValueError):
+                effective_action_series(2, order)
+
+    def test_raney_coefficients_are_powers_of_the_fc_series(self):
+        # the lam^n coefficient of T_p^q, from q-fold convolution of FC_p(n)
+        n_max = 6
+        for p in (2, 3, 4, 5):
+            fc = [row.value for row in fc_numbers_table(p, n_max)]
+            power = [1] + [0] * n_max
+            for q in range(6):
+                assert [_raney(p, q, n) for n in range(n_max + 1)] == power
+                power = [sum(power[i] * fc[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
 
 
 class TestPerturbativeIdentities:
@@ -196,10 +209,13 @@ class TestLogZSeries:
             lvr = logz_series(p, 2, "lvr")
             assert orig[0] == lvr[0]
             assert orig[1] == lvr[1]
+        assert logz_series(2, 3, "original") == logz_series(2, 3, "lvr")
 
     def test_rectangular_degree_limit(self):
         with pytest.raises(DegreeTooLarge):
             logz_series(5, 2, "original")
+        with pytest.raises(DegreeTooLarge):
+            logz_series(3, 3, "original")
 
     def test_frozen_values(self):
         c1, c2 = logz_series(2, 2, "original", square=True)
@@ -219,8 +235,42 @@ class TestLogZSeries:
     def test_validation(self):
         with pytest.raises(ValueError):
             logz_series(2, 2, "bogus")
-        with pytest.raises(ValueError):
-            logz_series(2, 3, "original")
+        for order in (0, 2.5):
+            with pytest.raises(ValueError):
+                logz_series(2, order, "original")
+
+    @pytest.mark.parametrize("p, order", [(p, 3) for p in range(2, 7)] + [(2, 4), (3, 4)])
+    def test_higher_order_representations_agree(self, p, order):
+        orig = logz_series(p, order, "original", square=True)
+        assert orig == logz_series(p, order, "lvr", square=True)
+        # the genus bound: no coefficient has a power of N above N^2
+        assert max(il for c in orig for (il, _), _ in c.terms) == 2
+
+    def test_p2_third_order_value(self):
+        c3 = logz_series(2, 3, "original", square=True)[2]
+        assert c3 == BivariatePoly.from_dict({(0, 0): Fraction(-80, 3), (2, 0): -72})
+        assert c3.evaluate(2, 2) == Fraction(-944, 3)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_scalar_cumulants_through_fourth_order(self, p):
+        # at N = 1, X = |g|^2 is Exp(1) and Z = sum_n (-lam)^n (pn)!/n!;
+        # log Z is taken here by the plain log(1 + u) series
+        order = 4
+        u = [Fraction(0)] + [
+            Fraction((-1) ** n * math.factorial(p * n), math.factorial(n))
+            for n in range(1, order + 1)
+        ]
+        want = [Fraction(0)] * (order + 1)
+        u_power = [Fraction(1)] + [Fraction(0)] * order
+        for j in range(1, order + 1):
+            u_power = [
+                sum(u_power[i] * u[n - i] for i in range(n + 1)) for n in range(order + 1)
+            ]
+            for n in range(order + 1):
+                want[n] += Fraction((-1) ** (j + 1), j) * u_power[n]
+        for representation in ("original", "lvr"):
+            got = logz_series(p, order, representation, square=True)
+            assert [c.evaluate(1, 1) for c in got] == want[1:]
 
 
 class TestQuarticReport:

@@ -6,11 +6,14 @@ private ones included.  A name only tests call is surface the tests keep
 alive for nobody."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import lvr_lab
 
 SRC = Path(lvr_lab.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def public_names(tree: ast.Module) -> list:
@@ -123,3 +126,22 @@ def test_every_private_method_has_a_caller_in_the_package():
                 if not any(name == item.name and id(node) not in own for node, name in attrs):
                     orphans.append(f"{module}.{cls.name}.{item.name}")
     assert orphans == []
+
+
+def readme_citations() -> list:
+    """(module, name) for each backticked `module.name` in README.md whose
+    module is one of src/lvr_lab's."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    cited = set(re.findall(r"`(\w+)\.(\w+)", README.read_text()))
+    return sorted((module, name) for module, name in cited if module in modules)
+
+
+def test_every_name_the_readme_cites_exists():
+    """The README names private helpers as the home of each technique; a
+    rename that leaves the README behind points readers at nothing."""
+    missing = [
+        f"{module}.{name}"
+        for module, name in readme_citations()
+        if not hasattr(importlib.import_module(f"lvr_lab.{module}"), name)
+    ]
+    assert readme_citations() and missing == []
