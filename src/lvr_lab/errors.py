@@ -52,9 +52,5 @@ class DivergentIntegrand(LvrLabError):
     """The requested integral does not converge for these parameters."""
 
 
-class DegreeTooLarge(LvrLabError):
-    """Moment degree exceeds the exact-enumeration bound."""
-
-
 class SizeBound(LvrLabError):
     """Combinatorial enumeration size exceeds the supported bound."""

@@ -3,9 +3,9 @@
 The model is a complex N_l x N_r Gaussian matrix M with covariance
 E[M_ab conj(M_cd)] = delta_ac delta_bd / N_r, X = M M^dag.  Everything in
 this module is exact rational arithmetic: moments of products of traces
-are polynomials in N_l and N_r (Laurent in N_r), computed either by
-enumerating Wick pairings with ribbon-graph cycle counting, or, in the
-square case, by a Schwinger-Dyson recursion that has no degree bound.
+are polynomials in N_l and N_r (Laurent in N_r), computed at any degree by
+one Schwinger-Dyson (loop) equation that contracts the first M leg of a
+trace.  The square case runs the same equation with N_r = N_l.
 
 The effective-action expansion feeds on the spectral substitution
 X_A = X T_p(-lambda X^(p-1)), whose q-th power has the Raney numbers
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeTooLarge
-
 __all__ = [
     "BivariatePoly",
     "TraceMonomial",
@@ -41,9 +39,6 @@ __all__ = [
     "QuarticReport",
     "quartic_report",
 ]
-
-WICK_DEGREE_CAP = 8
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -254,72 +249,49 @@ class TracePolynomial:
         )
 
 
-def _cycle_count(perm: tuple) -> int:
-    n = len(perm)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
+def _first_leg(mono: TraceMonomial, moment_of, per_n_r: BivariatePoly) -> BivariatePoly:
+    """<mono> by the loop equation: contract the first M leg of Tr X^q.
+
+    With its own trace's m-th M^dag leg it leaves Tr_R X^(m-1) Tr_L X^(q-m),
+    where a zero power is N_r on the right and N_l on the left; with trace j
+    it merges the two into Tr X^(q+p_j-1), p_j ways.  The propagator divides
+    the whole by N_r, so the m = 1 term, N_r Tr X^(q-1), enters undivided.
+    moment_of gives the moments of lower degree, and per_n_r is 1/N_r
+    (1/N_l in the square case, where N_r = N_l).
+    """
+    if not mono.powers:
+        return BivariatePoly.nl(mono.tr0)
+    if mono.tr0:  # each Tr X^0 is a factor N_l; the recursion keys on tr0 = 0
+        return BivariatePoly.nl(mono.tr0) * moment_of(TraceMonomial(mono.powers))
+    q, rest = mono.powers[0], mono.powers[1:]
+    total = BivariatePoly.zero()
+    for m in range(2, q + 1):
+        total = total + moment_of(TraceMonomial(rest + (m - 1, q - m)))
+    for j, pj in enumerate(rest):
+        merged = rest[:j] + rest[j + 1 :] + (q + pj - 1,)
+        total = total + pj * moment_of(TraceMonomial(merged))
+    return moment_of(TraceMonomial(rest + (q - 1,))) + total * per_n_r
 
 
 @lru_cache(maxsize=None)
 def wick_moment(mono: TraceMonomial) -> BivariatePoly:
-    """Gaussian moment of the trace monomial by pairing enumeration.
-
-    Each of the n! pairings of M legs with M^dag legs contributes
-    N_l^{cycles(gamma о sigma)} * N_r^{cycles(sigma)} / N_r^n, where gamma
-    is the cyclic structure of the traces.  Exact in N_l, N_r.
-    """
-    n = mono.degree
-    if n > WICK_DEGREE_CAP:
-        raise DegreeTooLarge(
-            f"degree {n} exceeds the pairing enumeration cap {WICK_DEGREE_CAP}"
-        )
-    gamma = []
-    start = 0
-    for q in mono.powers:
-        gamma.extend(start + ((i + 1) % q) for i in range(q))
-        start += q
-    gamma = tuple(gamma)
-    acc: dict = {}
-    for sigma in itertools.permutations(range(n)):
-        gs = tuple(gamma[sigma[i]] for i in range(n))
-        key = (_cycle_count(gs) + mono.tr0, _cycle_count(sigma) - n)
-        acc[key] = acc.get(key, Fraction(0)) + 1
-    if n == 0:
-        acc = {(mono.tr0, 0): Fraction(1)}
-    return BivariatePoly.from_dict(acc)
+    """Gaussian moment of the trace monomial, exact in N_l and N_r
+    (Laurent in N_r), at any degree."""
+    return _first_leg(mono, wick_moment, BivariatePoly.nr(-1))
 
 
 @lru_cache(maxsize=None)
 def moment_sd(mono: TraceMonomial) -> BivariatePoly:
-    """Square-case (N_l = N_r = N) moment via Schwinger-Dyson recursion.
-
+    """Square-case (N_l = N_r = N) moment by the same loop equation,
     N <Tr X^q * Pi> = sum_{k+l=q-1} <Tr X^k Tr X^l Pi>
-                      + sum_j p_j <Tr X^(q+p_j-1) Pi \\ j>.
-    No degree cap; the result is Laurent in N, carried in the N_l slot.
-    """
-    if not mono.powers:
-        return BivariatePoly.nl(mono.tr0)
-    q, rest = mono.powers[0], mono.powers[1:]
-    total = BivariatePoly.zero()
-    for k in range(q):
-        total = total + moment_sd(TraceMonomial(rest + (k, q - 1 - k), mono.tr0))
-    for j, pj in enumerate(rest):
-        merged = rest[:j] + rest[j + 1 :] + (q + pj - 1,)
-        total = total + pj * moment_sd(TraceMonomial(merged, mono.tr0))
-    return total * BivariatePoly.nl(-1)
+                      + sum_j p_j <Tr X^(q+p_j-1) Pi \\ j>,
+    with N carried in the N_l slot so the recursion stays univariate."""
+    return _first_leg(mono, moment_sd, BivariatePoly.nl(-1))
 
 
 def moment(tp: TracePolynomial, *, square: bool = False) -> BivariatePoly:
-    """Moment of a trace polynomial; square=True uses the unbounded engine."""
+    """Moment of a trace polynomial; square=True folds N_r onto N_l and
+    takes the moments in the one variable N."""
     out = BivariatePoly.zero()
     for mono, coeff in tp.items():
         m = moment_sd(mono) if square else wick_moment(mono)
@@ -421,7 +393,7 @@ def logz_series(
     Both take one route: exp(S) = sum_n lam^n E_n with
     n E_n = sum_k k S_k E_(n-k), Z_n = <E_n>, and log Z from
     n c_n = n Z_n - sum_(k<n) k c_k Z_(n-k).
-    square=True folds N_r onto N_l and removes the pairing degree cap.
+    square=True folds N_r onto N_l.
     """
     if representation not in ("original", "lvr"):
         raise ValueError("representation must be 'original' or 'lvr'")

@@ -1,6 +1,8 @@
 """Shared test fixtures."""
 
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from lvr_lab.errors import ContinuationFailure
 from lvr_lab.lvr_action import action_s_many, evaluator
 from lvr_lab.oracle import _spectra
+from lvr_lab.perturbation import BivariatePoly
 
 
 def _homotopy_logs(s_batch, params):
@@ -180,3 +183,59 @@ def _negative_axis_newton(p, zr):
 @pytest.fixture(scope="session")
 def negative_axis_newton():
     return _negative_axis_newton
+
+
+def _cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """Number of cycles of each row of a (k, n) array of permutations: the
+    points that are the least of their orbit."""
+    k, n = perms.shape
+    flat = (perms + n * np.arange(k)[:, None]).ravel()
+    cur = least = np.arange(k * n)
+    for _ in range(n):
+        cur = flat[cur]
+        least = np.minimum(least, cur)
+    return (least == np.arange(k * n)).reshape(k, n).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple:
+    """The n! permutations of range(n) as rows, and the cycles of each."""
+    perms = list(itertools.permutations(range(n)))
+    perms = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    return perms, _cycle_counts(perms)
+
+
+@lru_cache(maxsize=None)
+def _pairing_counts(powers: tuple) -> dict:
+    """{(cycles(gamma o sigma), cycles(sigma) - n): count} over the n!
+    pairings sigma of M legs with M^dag legs, gamma the cyclic structure of
+    the traces Tr X^q, q in powers."""
+    n = sum(powers)
+    gamma = []
+    start = 0
+    for q in powers:
+        gamma.extend(start + ((i + 1) % q) for i in range(q))
+        start += q
+    sigma, sigma_cycles = _permutations(n)
+    key = _cycle_counts(np.array(gamma, dtype=np.int64)[sigma]) * (n + 1) + sigma_cycles
+    return {
+        (int(k) // (n + 1), int(k) % (n + 1) - n): int(c)
+        for k, c in enumerate(np.bincount(key))
+        if c
+    }
+
+
+def _wick_enumeration(mono):
+    """Reference Gaussian moment, independent of the loop equation: each of
+    the n! Wick pairings contributes N_l^cycles(gamma o sigma) *
+    N_r^cycles(sigma) / N_r^n, times N_l per explicit Tr X^0.  Exact in
+    N_l, N_r; degree 8 takes 8! = 40,320 pairings."""
+    counts = _pairing_counts(mono.powers)
+    return BivariatePoly.from_dict(
+        {(il + mono.tr0, ir): c for (il, ir), c in counts.items()}
+    )
+
+
+@pytest.fixture(scope="session")
+def wick_enumeration():
+    return _wick_enumeration

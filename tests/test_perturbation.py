@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lvr_lab.errors import DegreeTooLarge
 from lvr_lab.fuss_catalan import fc_numbers_table
 from lvr_lab.perturbation import (
     _raney,
@@ -25,6 +26,28 @@ from lvr_lab.perturbation import (
 
 NL = BivariatePoly.nl()
 NR = BivariatePoly.nr()
+
+
+def partitions(n: int, largest: int | None = None):
+    """Every tuple of positive powers, descending, that sums to n."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for q in range(min(n, largest), 0, -1):
+        for rest in partitions(n - q, q):
+            yield (q,) + rest
+
+
+@st.composite
+def monomials(draw, max_degree: int):
+    """A product of traces of degree 1..max_degree and no Tr X^0."""
+    left = draw(st.integers(1, max_degree))
+    powers = []
+    while left:
+        powers.append(draw(st.integers(1, left)))
+        left -= powers[-1]
+    return TraceMonomial(tuple(powers))
 
 
 class TestBivariatePoly:
@@ -76,17 +99,43 @@ class TestWickMoment:
             {(2, 0): 1, (1, -1): 1}
         )
 
-    def test_degree_cap(self):
-        with pytest.raises(DegreeTooLarge):
-            wick_moment(TraceMonomial((9,)))
-        wick_moment(TraceMonomial((4, 4)))  # exactly at the cap
+    def test_degree_above_eight_folds_onto_square(self):
+        # the loop equation has no degree bound; at N_r = N_l its rectangular
+        # moments are the square ones
+        for powers in [(9,), (5, 4), (4, 3, 2, 1), (10,), (6, 5), (12,), (3, 3, 3, 3), (7, 4, 1)]:
+            for tr0 in (0, 1):
+                mono = TraceMonomial(powers, tr0)
+                assert mono.degree > 8
+                assert wick_moment(mono).fold_square() == moment_sd(mono)
 
-    def test_matches_sd_engine_on_square(self):
-        # two independent algorithms: pairing enumeration vs recursion
-        for powers in [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (2, 2), (3, 2, 1), (2, 2, 2, 2)]:
-            assert wick_moment(TraceMonomial(powers)).fold_square() == moment_sd(
-                TraceMonomial(powers)
-            )
+    def test_matches_pairing_enumeration(self, wick_enumeration):
+        # the conftest reference enumerates all n! Wick pairings
+        monos = [
+            TraceMonomial(powers, tr0)
+            for degree in range(9)
+            for powers in partitions(degree)
+            for tr0 in (0, 1)
+        ]
+        assert len(monos) == 134
+        for mono in monos:
+            assert wick_moment(mono) == wick_enumeration(mono)
+        assert wick_moment(TraceMonomial((3, 2, 1))).fold_square() == moment_sd(
+            TraceMonomial((3, 2, 1))
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomials(12))
+    def test_left_right_duality(self, mono):
+        # Tr (M M^dag)^q = Tr (M^dag M)^q, and M^dag is the N_r x N_l model
+        # with its covariance 1/N_r rescaled by N_l/N_r: so
+        # <m>(N_l, N_r) = (N_l/N_r)^d <m>(N_r, N_l).  The loop equation
+        # contracts the left leg first, so this is no identity of the rule.
+        d = mono.degree
+        got = wick_moment(mono)
+        swapped = BivariatePoly.from_dict(
+            {(ir + d, il - d): v for (il, ir), v in got.terms}
+        )
+        assert got == swapped
 
     def test_rectangular_monte_carlo_bridge(self):
         rng = np.random.default_rng(12)
@@ -211,11 +260,13 @@ class TestLogZSeries:
             assert orig[1] == lvr[1]
         assert logz_series(2, 3, "original") == logz_series(2, 3, "lvr")
 
-    def test_rectangular_degree_limit(self):
-        with pytest.raises(DegreeTooLarge):
-            logz_series(5, 2, "original")
-        with pytest.raises(DegreeTooLarge):
-            logz_series(3, 3, "original")
+    def test_rectangular_orders_past_degree_eight(self):
+        # each of these needs rectangular moments above degree 8
+        for p, order in [(5, 2), (6, 2), (3, 3), (4, 3), (2, 4)]:
+            orig = logz_series(p, order, "original")
+            assert orig == logz_series(p, order, "lvr")
+            square = logz_series(p, order, "original", square=True)
+            assert [c.fold_square() for c in orig] == square
 
     def test_frozen_values(self):
         c1, c2 = logz_series(2, 2, "original", square=True)

@@ -14,6 +14,7 @@ import lvr_lab
 
 SRC = Path(lvr_lab.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def public_names(tree: ast.Module) -> list:
@@ -145,3 +146,26 @@ def test_every_name_the_readme_cites_exists():
         if not hasattr(importlib.import_module(f"lvr_lab.{module}"), name)
     ]
     assert readme_citations() and missing == []
+
+
+def benchmark_caches() -> list:
+    """The (module, name) pairs of the CACHES tuple in perfbench/spans.py,
+    read from its source: the benchmark calls cache_info() on each one in
+    every run."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CACHES" for t in node.targets
+        ):
+            return [tuple(ast.literal_eval(elt)) for elt in node.value.elts]
+    return []
+
+
+def test_every_cache_the_benchmark_counts_exists():
+    """A rename or an uncached rewrite of one of these turns every benchmark
+    run into a failure; this test fails first."""
+    missing = [
+        f"{module}.{name}"
+        for module, name in benchmark_caches()
+        if not hasattr(getattr(importlib.import_module(f"lvr_lab.{module}"), name, None), "cache_info")
+    ]
+    assert benchmark_caches() and missing == []
