@@ -29,23 +29,24 @@ lve._grads_batch takes its N = 2 gradient from the same entries and t -+ r.
 _mc_mean is the one Monte Carlo driver of the package.  The oracle (RNG key
 (seed,)), the LVE vertex amplitude (key (seed, 2)) and the one-edge tree
 amplitude (key (seed, 1)) each pass it a kernel; so do the pilot streams
-that fit control-variate coefficients, (seed, 3) for the vertex amplitude
-and (seed, 4) for the oracle.  Every key but the oracle's ends in a
-non-zero word: NumPy's SeedSequence drops trailing zero words, so (seed, 0)
-would draw the oracle's stream again.
+that fit control-variate coefficients, (seed, 3) for the vertex amplitude,
+(seed, 4) for the oracle and (seed, 5) for the one-edge tree.  Every key
+but the oracle's ends in a non-zero word: NumPy's SeedSequence drops
+trailing zero words, so (seed, 0) would draw the oracle's stream again.
 
 _controlled_mean is the one control-variate helper.  At square shapes the
 Monte Carlo Z subtracts sum_i b_i (f_i - E f_i) from its weight: exp(S)
 takes the controls S1, S2 and the power sums Tr X .. Tr X^p, and
 exp(-N lam Tr X^p) the power sums Tr X .. Tr X^p; the vertex amplitude
-subtracts the S1, S2 terms alone from S.  S1 and S2 are the action's
-order-lam and order-lam^2 vertices; each mean is exact,
-perturbation.moment(square=True) at entry variance 1/N, computed on first
-use.  The coefficients are fitted on the pilot stream by a hand-written
-elimination (_pilot_coefficients), so each estimate stays unbiased and
-row 0's error is its standard error; a control in the span of the earlier
-ones (at p = 2, S1 = -2N Tr X) gets b = 0.  Rectangular shapes keep the
-plain estimator.
+subtracts the S1, S2 terms alone from S, and the one-edge tree the
+replica second moments of lve._replica_controls from its K15 row.  S1
+and S2 are the action's order-lam and order-lam^2 vertices; each mean is
+exact, perturbation.moment(square=True) at entry variance 1/N, computed
+on first use.  The coefficients are fitted on the pilot stream by a
+hand-written elimination (_pilot_coefficients), so each estimate stays
+unbiased and row 0's error is its standard error; a control in the span
+of the earlier ones (at p = 2, S1 = -2N Tr X) gets b = 0.  Rectangular
+shapes keep the plain estimator.
 
 The oracle restricts itself to Re(lam) >= 0: beyond that the original
 integrand is not absolutely integrable on the real spectrum and the
@@ -386,10 +387,13 @@ def _controlled_mean(
     error.
 
     rows maps a chunk of matrices to (y, f_1, ..., f_k), each control f_i
-    with exact mean zero.  The least-squares coefficients b_i of y on the
-    f_i are fitted on PILOT_SAMPLES draws of pilot_key, whose rows are
-    [f, y, f_i f_j (i <= j), f_i y], by _pilot_coefficients.  _mc_mean
-    then averages y - sum_i b_i f_i on key.  The b_i do not depend on
+    with exact mean zero.  y is one (take,) row or a (rows, take) block
+    whose row 0 is the estimate; a block's other rows are averaged as they
+    are, alongside it (the one-edge tree's K15 - G7 gap).  The
+    least-squares coefficients b_i of row 0 on the f_i are fitted on
+    PILOT_SAMPLES draws of pilot_key, whose rows are
+    [f, y_0, f_i f_j (i <= j), f_i y_0], by _pilot_coefficients.  _mc_mean
+    then averages y_0 - sum_i b_i f_i on key.  The b_i do not depend on
     those draws, so the estimate is unbiased and row 0's error is its
     standard error.  At k = 0 there is no pilot and y is averaged as it is.
     """
@@ -398,6 +402,7 @@ def _controlled_mean(
 
         def pilot_kernel(m):
             y, *f = rows(m)
+            y = y[0] if y.ndim == 2 else y
             pairs = [f[i] * f[j] for i in range(k) for j in range(i, k)]
             return np.stack([*f, y, *pairs, *(f_i * y for f_i in f)])
 
@@ -406,10 +411,11 @@ def _controlled_mean(
 
     def kernel(m):
         y, *f = rows(m)
+        y0 = y[0] if y.ndim == 2 else y
         for b, f_i in zip(coef, f):
             if b:
-                y = y - b * f_i
-        return y
+                y0 = y0 - b * f_i
+        return y0 if y.ndim == 1 else np.vstack([y0, y[1:]])
 
     return _mc_mean(kernel, key, cfg, shape)
 

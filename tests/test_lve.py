@@ -5,6 +5,7 @@ quadratures and the oracle."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from lvr_lab.lve import (
     faadibruno_numeric_check,
     lve_partial_sum,
     _grads_batch,
+    _replica_controls,
+    _tree2_rows,
     _w_rule,
 )
 from lvr_lab.oracle import MC_CHUNK, McConfig, _spectra, free_energy
@@ -596,9 +599,17 @@ def test_w_rule_is_nested_gauss_kronrod():
 
 def test_tree2_chunk_matches_gauss_legendre_reference():
     # one seeded chunk, integrated over w with 16 Gauss-Legendre nodes,
-    # LAPACK eigenvectors and the p = 2 closed-form scalar map
+    # LAPACK eigenvectors and the p = 2 closed-form scalar map, less the
+    # control variates fitted on the estimate's own pilot
     lam, seed = 0.05, 1234
-    est = amplitude_tree2(params_sq(2, lam, 2), McConfig(n_samples=MC_CHUNK, seed=seed))
+    fit, coefs = oracle._pilot_coefficients, []
+
+    def capture(e, k):
+        coefs.append(fit(e, k))
+        return coefs[-1]
+
+    with mock.patch.object(oracle, "_pilot_coefficients", capture):
+        est = amplitude_tree2(params_sq(2, lam, 2), McConfig(n_samples=MC_CHUNK, seed=seed))
     raw = np.random.Generator(np.random.Philox([seed, 1])).standard_normal((MC_CHUNK, 3, 2, 2, 2))
     g = (raw[..., 0] + 1j * raw[..., 1]) / 2.0
 
@@ -617,10 +628,44 @@ def test_tree2_chunk_matches_gauss_legendre_reference():
         gm1 = g_of(m1) @ m1
         mdg2 = m2.conj().transpose(0, 2, 1) @ g_of(m2)
         y += q * np.einsum("xij,xji->x", gm1, mdg2)
-    ref = y.mean() / 8
+    trace = {(a, b): np.trace(g[:, a] @ g[:, b].conj().transpose(0, 2, 1), axis1=1, axis2=2)
+             for a, b in ((0, 0), (0, 2), (1, 0), (1, 2))}
+    mix = trace[0, 2] + trace[1, 0]
+    controls = (trace[0, 0].real - 2, mix.real, mix.imag, trace[1, 2].real, trace[1, 2].imag)
+    (coef,) = coefs
+    ref = (y - sum(b * f for b, f in zip(coef, controls))).mean() / 8
     assert abs(est.value - ref) < 1e-3 * est.std_error
     # K15 sits far closer to GL-16 than to its embedded G7 rule
     assert abs(est.value - ref) < 0.1 * est.w_node_check < 1e-7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_replica_control_rows_have_exact_means(n):
+    # Re(T00 - N), Re and Im of T02 + T10, Re and Im of T12, with
+    # T_ab = Tr(g_a g_b^dag) of mean N delta_ab
+    raw = np.random.Generator(np.random.Philox((21, 12))).standard_normal((100_000, 3, n, n, 2))
+    rows = np.array(_replica_controls((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)))
+    assert rows.shape == (5, 100_000) and rows.dtype == float
+    sigma = rows.std(axis=1) / math.sqrt(rows.shape[1])
+    assert np.all(np.abs(rows.mean(axis=1)) <= 4 * sigma)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_tree2_controls_beat_the_plain_estimator_on_held_out_draws(seed):
+    """The controls, fitted on the pilot, give at most half the plain
+    standard error on the main draws at p = 2 and no larger an error at
+    p = 3 (N = 2); the two estimates agree, and w_node_check is the plain
+    estimator's."""
+    cfg = McConfig(n_samples=20000, seed=seed, n_workers=2)
+    for p, lam, ratio in ((2, 0.02, 0.5), (2, 0.05, 0.5), (3, 0.05, 1.0)):
+        pr = params_sq(p, lam, 2)
+        est = amplitude_tree2(pr, cfg)
+        rows = _tree2_rows(pr)
+        (plain, gap), err = oracle._mc_mean(lambda g: rows(g)[0], (seed, 1), cfg, (3, 2, 2))
+        plain, plain_err, plain_check = complex(plain) / 8, err / 8, abs(gap) / 8
+        assert est.std_error <= ratio * plain_err, (p, lam)
+        assert abs(est.value - plain) <= 3 * math.hypot(est.std_error, plain_err), (p, lam)
+        assert abs(est.w_node_check - plain_check) <= 1e-12 * plain_check, (p, lam)
 
 
 def test_amplitude_tree2_deterministic():
@@ -643,6 +688,19 @@ def test_partial_sum_bounds():
         lve_partial_sum(params_sq(2, 0.1, 1), cfg, n_max=0)
     with pytest.raises(SizeBound):
         lve_partial_sum(params_sq(2, 0.1, 1), cfg, n_max=3)
+
+
+def test_partial_sum_carries_its_amplitudes():
+    # the n_max = 1 sum can be read off the n_max = 2 one, with no second
+    # vertex amplitude
+    pr = params_sq(2, 0.05, 2)
+    cfg = McConfig(n_samples=5000, seed=3, n_workers=2)
+    ps = lve_partial_sum(pr, cfg)
+    vertex, tree2 = ps.amplitudes
+    assert (vertex, tree2) == (amplitude_trivial(pr, cfg), amplitude_tree2(pr, cfg))
+    assert ps.value == vertex.value + tree2.value
+    ps1 = lve_partial_sum(pr, cfg, n_max=1)
+    assert (ps1.value, ps1.std_error, ps1.amplitudes) == (vertex.value, vertex.std_error, (vertex,))
 
 
 def test_partial_sum_level_one_is_vertex_amplitude():

@@ -351,8 +351,8 @@ def test_perturbative_bridge():
 
 # means of the one driver at 2 MC_CHUNK + 1 samples and seed 1234, so that
 # the runs cross chunk and uneven-worker boundaries: every draw and every sum
-# must keep its bits.  The square Z means are the controlled estimates, the
-# amplitudes those of the three Monte Carlo loops that the driver replaced.
+# must keep its bits.  The square Z means and both amplitudes are the
+# controlled estimates.
 LAM_C = 0.05 * np.exp(1j * np.pi / 4)
 PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
     (1, "lvr", 2): 0.7466946763887782 - 0.16215226595205035j,
@@ -372,8 +372,8 @@ PINNED_RECTANGULAR = {  # (representation, p): (mean, standard error)
     ("original", 3): (0.5451608198872205 - 0.18650410379289956j, 0.002780135190545717),
 }
 PINNED_AMPLITUDES = {  # n_workers: (vertex, tree 2) at p = 2, N = 2, lam = 0.05
-    1: (-0.08602609642889038 + 0j, 0.002837961380411822 + 3.008377239567265e-06j),
-    3: (-0.0860331018552567 + 0j, 0.0028450973189093993 - 2.8425242868305024e-06j),
+    1: (-0.08602609642889038 + 0j, 0.0028419773541474647 + 2.666961258579787e-06j),
+    3: (-0.0860331018552567 + 0j, 0.0028338674387154974 - 2.281144476416442e-06j),
 }
 
 
@@ -396,7 +396,7 @@ def test_monte_carlo_streams_are_distinct():
     pr = ModelParams(p=2, lam=0.05, n_l=2, n_r=2)
     cfg = McConfig(n_samples=4, seed=1234)
     spy = mock.Mock(wraps=oracle._mc_mean)
-    with mock.patch.object(oracle, "_mc_mean", spy), mock.patch("lvr_lab.lve._mc_mean", spy):
+    with mock.patch.object(oracle, "_mc_mean", spy):
         z_lvr(pr, cfg)
         amplitude_trivial(pr, cfg)
         amplitude_tree2(pr, cfg)
@@ -405,7 +405,8 @@ def test_monte_carlo_streams_are_distinct():
     for i in range(len(keys)):
         for j in range(i):
             assert not np.array_equal(first[i], first[j]), (keys[i], keys[j])
-    assert len(keys) == 5  # oracle pilot, oracle, vertex pilot, vertex, tree 2
+    # oracle pilot, oracle, vertex pilot, vertex, tree-2 pilot, tree 2
+    assert len(keys) == 6
 
 
 @pytest.mark.parametrize("mode", ["lvr", "original"])
