@@ -23,11 +23,11 @@ from .errors import SizeBound
 from .lvr_action import ModelParams, grad_spectral_many
 from .oracle import (
     McConfig,
+    _control_table,
     _controlled_mean,
     _gram,
     _spectra,
     _spectrum2,
-    _vertex_controls,
     _vertex_rows,
 )
 
@@ -588,18 +588,18 @@ def amplitude_trivial(params: ModelParams, cfg: McConfig) -> AmplitudeEstimate:
     estimated by seeded Monte Carlo on key (seed, 2).
 
     Each sample contributes S - b1 (S1 - E S1) - b2 (S2 - E S2), where S1
-    and S2 are the order-lam and order-lam^2 vertices and their means are
-    exact.  oracle._controlled_mean fits the coefficients on a pilot stream
-    of key (seed, 3), so the estimate is unbiased and its standard error is
-    the driver's own.
+    and S2 are the order-lam and order-lam^2 vertices, with their exact
+    means, of oracle._control_table.  oracle._controlled_mean fits the
+    coefficients on a pilot stream of key (seed, 3), so the estimate is
+    unbiased and its standard error is the driver's own.
     """
     if params.lam == 0:
         return AmplitudeEstimate("empty", 0j, 1e-16, cfg.n_samples, cfg.seed)
     _amplitude_gate(params)
     n = params.n_l
-    controls = _vertex_controls(params)
+    table = _control_table(params.p, n, n, 2, 0)
     mean, err = _controlled_mean(
-        lambda m: _vertex_rows(params, controls, m), 2, (cfg.seed, 2), (cfg.seed, 3), cfg, (n, n)
+        lambda m: _vertex_rows(params, table, m), 2, (cfg.seed, 2), (cfg.seed, 3), cfg, (n, n)
     )
     return AmplitudeEstimate("empty", complex(mean[0]) / n**2, err / n**2, cfg.n_samples, cfg.seed)
 

@@ -34,19 +34,20 @@ that fit control-variate coefficients, (seed, 3) for the vertex amplitude,
 but the oracle's ends in a non-zero word: NumPy's SeedSequence drops
 trailing zero words, so (seed, 0) would draw the oracle's stream again.
 
-_controlled_mean is the one control-variate helper.  At square shapes the
-Monte Carlo Z subtracts sum_i b_i (f_i - E f_i) from its weight: exp(S)
-takes the controls S1, S2 and the power sums Tr X .. Tr X^p, and
-exp(-N lam Tr X^p) the power sums Tr X .. Tr X^p; the vertex amplitude
-subtracts the S1, S2 terms alone from S, and the one-edge tree the
-replica second moments of lve._replica_controls from its K15 row.  S1
-and S2 are the action's order-lam and order-lam^2 vertices; each mean is
-exact, perturbation.moment(square=True) at entry variance 1/N, computed
-on first use.  The coefficients are fitted on the pilot stream by a
-hand-written elimination (_pilot_coefficients), so each estimate stays
-unbiased and row 0's error is its standard error; a control in the span
-of the earlier ones (at p = 2, S1 = -2N Tr X) gets b = 0.  Rectangular
-shapes keep the plain estimator.
+_controlled_mean is the one control-variate helper, and _control_table the
+one table of exact controls, at every shape.  The Monte Carlo Z subtracts
+sum_i b_i (f_i - E f_i) from its weight: exp(S) takes the controls S1, S2
+and the power sums Tr X .. Tr X^p, and exp(-N_r lam Tr X^p) the power sums
+Tr X .. Tr X^p; the vertex amplitude subtracts the S1, S2 terms alone from
+S, and the one-edge tree the replica second moments of
+lve._replica_controls from its K15 row.  S1 and S2 are the action's
+order-lam and order-lam^2 vertices from
+perturbation.effective_action_series; every mean in the table is exact,
+perturbation.moment at entry variance 1/N_r, computed once per shape.  The
+coefficients are fitted on the pilot stream by a hand-written elimination
+(_pilot_coefficients), so each estimate stays unbiased and row 0's error
+is its standard error; a control in the span of the earlier ones (at
+p = 2, S1 = -2N Tr X) gets b = 0.
 
 The oracle restricts itself to Re(lam) >= 0: beyond that the original
 integrand is not absolutely integrable on the real spectrum and the
@@ -64,7 +65,7 @@ import numpy as np
 
 from .errors import DivergentIntegrand, QuadratureFailure
 from .lvr_action import ModelParams, _action_logs, _left_sum, action_s_many
-from .perturbation import TraceMonomial, TracePolynomial, closed_form_s1, closed_form_s2, moment
+from .perturbation import TraceMonomial, TracePolynomial, effective_action_series, moment
 
 __all__ = [
     "ZResult",
@@ -383,8 +384,8 @@ def _pilot_coefficients(e: list, k: int) -> list:
 def _controlled_mean(
     rows, k: int, key: tuple, pilot_key: tuple, cfg: McConfig, shape: tuple
 ) -> tuple:
-    """Monte Carlo mean of y less k control variates, with its standard
-    error.
+    """Monte Carlo mean of y less k >= 1 control variates, with its
+    standard error.
 
     rows maps a chunk of matrices to (y, f_1, ..., f_k), each control f_i
     with exact mean zero.  y is one (take,) row or a (rows, take) block
@@ -395,19 +396,17 @@ def _controlled_mean(
     [f, y_0, f_i f_j (i <= j), f_i y_0], by _pilot_coefficients.  _mc_mean
     then averages y_0 - sum_i b_i f_i on key.  The b_i do not depend on
     those draws, so the estimate is unbiased and row 0's error is its
-    standard error.  At k = 0 there is no pilot and y is averaged as it is.
+    standard error.
     """
-    coef = ()
-    if k:
 
-        def pilot_kernel(m):
-            y, *f = rows(m)
-            y = y[0] if y.ndim == 2 else y
-            pairs = [f[i] * f[j] for i in range(k) for j in range(i, k)]
-            return np.stack([*f, y, *pairs, *(f_i * y for f_i in f)])
+    def pilot_kernel(m):
+        y, *f = rows(m)
+        y = y[0] if y.ndim == 2 else y
+        pairs = [f[i] * f[j] for i in range(k) for j in range(i, k)]
+        return np.stack([*f, y, *pairs, *(f_i * y for f_i in f)])
 
-        pilot = McConfig(n_samples=PILOT_SAMPLES, seed=cfg.seed)
-        coef = _pilot_coefficients(list(_mc_mean(pilot_kernel, pilot_key, pilot, shape)[0]), k)
+    pilot = McConfig(n_samples=PILOT_SAMPLES, seed=cfg.seed)
+    coef = _pilot_coefficients(list(_mc_mean(pilot_kernel, pilot_key, pilot, shape)[0]), k)
 
     def kernel(m):
         y, *f = rows(m)
@@ -421,76 +420,65 @@ def _controlled_mean(
 
 
 @lru_cache(maxsize=16)
-def _trace_means(n: int, p: int) -> tuple:
-    """E Tr X^q for q = 1 .. p at square N x N shape, entry variance 1/N:
-    perturbation.moment, exact, as floats."""
+def _control_table(p: int, n_l: int, n_r: int, n_vertices: int, n_traces: int) -> tuple:
+    """The exact controls at shape N_l x N_r: the vertices S_1 ..
+    S_n_vertices of perturbation.effective_action_series, then Tr X ..
+    Tr X^n_traces.  Each entry holds its terms (c, powers), the float
+    coefficient c of the monomial prod_q Tr X^q, and its exact Gaussian
+    mean at entry variance 1/N_r, perturbation.moment, as a float."""
+    polys = effective_action_series(p, n_vertices) if n_vertices else []
+    polys += [TracePolynomial.single(TraceMonomial((q,))) for q in range(1, n_traces + 1)]
     return tuple(
-        float(moment(TracePolynomial.single(TraceMonomial((q,))), square=True).evaluate(n, n))
-        for q in range(1, p + 1)
+        (
+            tuple((float(c.evaluate(n_l, n_r)), mono.powers) for mono, c in tp.items()),
+            float(moment(tp, square=n_l == n_r).evaluate(n_l, n_r)),
+        )
+        for tp in polys
     )
 
 
-def _vertex_controls(params: ModelParams, n_traces: int = 0):
-    """The order-lam and order-lam^2 vertices S1 and S2 of the action, then
-    the power sums Tr X^q for q = 1 .. n_traces (at most 2p - 2), as a map
-    from (batch, N) spectra to their (2 + n_traces, batch) values less
-    their exact Gaussian means, perturbation.moment at entry variance 1/N.
-    Each vertex is a trace polynomial, evaluated on the power sums
-    Tr X^q = sum_i s_i^q."""
-    n, p = params.n_l, params.p
-    vertices = []
-    for tp in (closed_form_s1(p), closed_form_s2(p)):
-        terms = [(float(c.evaluate(n, n) * n**mono.tr0), mono.powers) for mono, c in tp.items()]
-        vertices.append((terms, float(moment(tp, square=True).evaluate(n, n))))
-    trace_means = _trace_means(n, n_traces)
-
-    def rows(s: np.ndarray) -> np.ndarray:
-        # traces[q - 1] = Tr X^q for q = 1 .. 2p - 2, the highest vertex degree
-        s_q = np.cumprod(np.broadcast_to(s.T, (2 * p - 2, *s.T.shape)), axis=0)
-        traces = _left_sum(s_q.transpose(1, 0, 2))
-        return np.stack([
-            *(sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
-              for terms, mean in vertices),
-            *(traces[q] - mean for q, mean in enumerate(trace_means)),
-        ])
-
-    return rows
+def _control_rows(table: tuple, traces) -> list:
+    """The rows f - E f of a _control_table, one (batch,) array per entry,
+    from the power sums traces[q - 1] = Tr X^q."""
+    return [
+        sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in terms) - mean
+        for terms, mean in table
+    ]
 
 
-def _vertex_rows(params: ModelParams, controls, m: np.ndarray) -> tuple:
-    """S of a chunk of matrices and the rows of controls, all from one
-    spectrum per sample."""
+def _vertex_rows(params: ModelParams, table: tuple, m: np.ndarray) -> tuple:
+    """S of a chunk of matrices and the rows of a _control_table, all from
+    one spectrum per sample."""
     s = _spectra(m)
     s_mat, s_vec = action_s_many(s, params)
-    return (s_mat + s_vec, *controls(s))
+    # traces[q - 1] = Tr X^q = sum_i s_i^q, summed left to right, for
+    # q = 1 .. 2p - 2, the degree of S_2
+    s_q = np.cumprod(np.broadcast_to(s.T, (2 * params.p - 2, *s.T.shape)), axis=0)
+    return (s_mat + s_vec, *_control_rows(table, _left_sum(s_q.transpose(1, 0, 2))))
 
 
 def _mc_rows(params: ModelParams, mode: str) -> tuple:
     """The Monte Carlo rows of one representation, as a map from a chunk of
-    matrices to (y, f_1, ..., f_k), and k.  At square shapes the weight
-    exp(S) takes the controls S1, S2 and Tr X .. Tr X^p of _vertex_controls
-    (k = p + 2), and exp(-N lam Tr X^p) the controls Tr X .. Tr X^p
-    (k = p), each less its exact Gaussian mean; rectangular shapes take
-    none (k = 0).  The original representation's traces are
-    _trace_powers', real."""
-    n, p = params.n_l, params.p
-    square = n == params.n_r
+    matrices to (y, f_1, ..., f_k), and k.  The weight exp(S) takes the
+    controls S1, S2 and Tr X .. Tr X^p (k = p + 2), and
+    exp(-N_r lam Tr X^p) the controls Tr X .. Tr X^p (k = p), each less
+    its exact Gaussian mean from _control_table, at every shape.  The
+    original representation's power sums are _trace_powers', real."""
+    p = params.p
+    table = _control_table(p, params.n_l, params.n_r, 2 if mode == "lvr" else 0, p)
     if mode == "lvr":
-        controls = _vertex_controls(params, p) if square else lambda s: ()
 
         def rows(m):
-            s_total, *f = _vertex_rows(params, controls, m)
+            s_total, *f = _vertex_rows(params, table, m)
             return (np.exp(s_total), *f)
 
-        return rows, p + 2 if square else 0
-    trace_means = _trace_means(n, p) if square else ()
+    else:
 
-    def rows(m):
-        traces = _trace_powers(_gram(m), p)
-        y = np.exp(-params.n_r * params.lam * traces[-1])
-        return (y, *(tr - mean for tr, mean in zip(traces, trace_means)))
+        def rows(m):
+            traces = _trace_powers(_gram(m), p)
+            return (np.exp(-params.n_r * params.lam * traces[-1]), *_control_rows(table, traces))
 
-    return rows, len(trace_means)
+    return rows, len(table)
 
 
 def _mc_z(params: ModelParams, cfg: McConfig, mode: str) -> ZResult:

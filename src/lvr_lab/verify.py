@@ -44,6 +44,8 @@ class VerifyConfig:
             raise ValueError("p and p_max must be at least 2")
         if self.n is not None and not 1 <= self.n <= 4:
             raise ValueError("N must lie in 1..4")
+        if self.lam is not None:
+            oracle._stability_gate(self.lam)
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,8 @@ def test_verify_rejects_non_positive_size_before_any_check(capsys, monkeypatch, 
         ("all", ["--p", "1"], "p and p_max must be at least 2"),
         ("oracle", ["--N", "0"], "N must lie in 1..4"),
         ("oracle", ["--N", "5"], "N must lie in 1..4"),
+        ("all", ["--lambda=-0.1,0"], "Re(lam) < 0"),
+        ("all", ["--lambda-polar", "0.1,180"], "Re(lam) < 0"),
     ],
 )
 def test_verify_rejects_bad_focus_before_any_check(capsys, monkeypatch, target, flags, message):

@@ -37,7 +37,7 @@ from lvr_lab.lve import (
     _tree2_rows,
     _w_rule,
 )
-from lvr_lab.oracle import MC_CHUNK, McConfig, _spectra, free_energy
+from lvr_lab.oracle import MC_CHUNK, McConfig, free_energy
 from lvr_lab.lvr_action import ModelParams, grad_spectral_many
 
 
@@ -473,20 +473,34 @@ def test_controlled_vertex_amplitude_matches_plain_estimate(s_of_matrices, p, n,
     assert est.std_error <= plain_err
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("p", [2, 3, 4])
-def test_vertex_control_rows_have_exact_means(p, n):
-    # z_lvr's controls S1, S2 and Tr X .. Tr X^p from the spectrum (the vertex
-    # amplitude's are the first two), and z_original's Tr X .. Tr X^p from
-    # the Gram entries
-    pr = params_sq(p, 0.05, n)
-    raw = np.random.Generator(np.random.Philox((21, 11))).standard_normal((200_000, n, n, 2))
-    m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n)
-    trace_rows = oracle._mc_rows(pr, "original")[0](m)[1:]
-    rows = np.vstack([oracle._vertex_controls(pr, p)(_spectra(m)), *trace_rows])
+def assert_control_rows_have_exact_means(p, n_l, n_r):
+    """z_lvr's controls S1, S2 and Tr X .. Tr X^p of oracle._control_table
+    (the vertex amplitude's are the first two), evaluated on the power sums
+    of the Gram entries, and z_original's rows average to zero within
+    4 sigma over 200,000 draws at shape N_l x N_r."""
+    pr = ModelParams(p=p, lam=0.05, n_l=n_l, n_r=n_r)
+    raw = np.random.Generator(np.random.Philox((21, 11))).standard_normal((200_000, n_l, n_r, 2))
+    m = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2 * n_r)
+    traces = oracle._trace_powers(oracle._gram(m), 2 * p - 2)
+    rows = np.vstack([
+        *oracle._control_rows(oracle._control_table(p, n_l, n_r, 2, p), traces),
+        *oracle._mc_rows(pr, "original")[0](m)[1:],
+    ])
     assert rows.shape == (2 * p + 2, 200_000)
     sigma = rows.std(axis=1) / math.sqrt(rows.shape[1])
     assert np.all(np.abs(rows.mean(axis=1)) <= 4 * sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_vertex_control_rows_have_exact_means(p, n):
+    assert_control_rows_have_exact_means(p, n, n)
+
+
+@pytest.mark.parametrize("n_l, n_r", [(1, 3), (2, 3), (3, 4)])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_rectangular_control_rows_have_exact_means(p, n_l, n_r):
+    assert_control_rows_have_exact_means(p, n_l, n_r)
 
 
 def test_amplitude_trivial_shrinks_with_coupling():

@@ -26,7 +26,14 @@ from lvr_lab.oracle import (
     z_original,
     z_series_fd,
 )
-from lvr_lab.perturbation import closed_form_s1, closed_form_s2, logz_series, moment
+from lvr_lab.perturbation import (
+    TraceMonomial,
+    TracePolynomial,
+    closed_form_s1,
+    closed_form_s2,
+    logz_series,
+    moment,
+)
 
 
 def z1_reference(p: int, lam: complex) -> complex:
@@ -364,12 +371,12 @@ PINNED_Z = {  # (n_workers, representation, p) at lam = LAM_C, N = p
     (3, "lvr", 3): 0.28034631034983104 - 0.18991538861813967j,
     (3, "original", 3): 0.2790320947740223 - 0.19061482960249473j,
 }
-# plain (uncontrolled) means and errors at lam = LAM_C, 2 x 3, three workers
+# controlled means and errors at lam = LAM_C, 2 x 3, three workers
 PINNED_RECTANGULAR = {  # (representation, p): (mean, standard error)
-    ("lvr", 2): (0.6842925039854737 - 0.1957854406347069j, 0.0008985491607109293),
-    ("original", 2): (0.6853043347572315 - 0.1954632241340446j, 0.0018545496564287296),
-    ("lvr", 3): (0.5441942647857837 - 0.18638574787044332j, 0.0017096166113283713),
-    ("original", 3): (0.5451608198872205 - 0.18650410379289956j, 0.002780135190545717),
+    ("lvr", 2): (0.6838153822438605 - 0.19592051101050317j, 3.158645227915248e-05),
+    ("original", 2): (0.684063354350074 - 0.19565168938512756j, 0.00044983210747766544),
+    ("lvr", 3): (0.5429835966782868 - 0.18640832654601072j, 0.00011081858769483653),
+    ("original", 3): (0.5431280487075129 - 0.18628121206679868j, 0.0008316534413885141),
 }
 PINNED_AMPLITUDES = {  # n_workers: (vertex, tree 2) at p = 2, N = 2, lam = 0.05
     1: (-0.08602609642889038 + 0j, 0.0028419773541474647 + 2.666961258579787e-06j),
@@ -525,26 +532,65 @@ def test_pilot_solve_calls_no_lapack(monkeypatch):
         z_original(pr, cfg)
 
 
-def test_rectangular_monte_carlo_is_the_plain_estimator(s_of_matrices):
-    """Rectangular shapes take no control and draw no pilot: z_lvr and
-    z_original are the plain means of exp(S) and exp(-N_r lam Tr X^p), bit
-    for bit."""
+def reference_rows(pr, mode, m):
+    """The rows of one representation from the closed forms of S1 and S2 and
+    numpy's power sums of the spectrum, each control less its exact mean
+    perturbation.wick_moment at (N_l, N_r)."""
+    n_l, n_r, p = pr.n_l, pr.n_r, pr.p
+    s = np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1))
+    traces = np.cumprod(np.broadcast_to(s, (2 * p, *s.shape)), axis=0).sum(axis=2)
+    polys = [TracePolynomial.single(TraceMonomial((q,))) for q in range(1, p + 1)]
+    if mode == "lvr":
+        polys = [closed_form_s1(p), closed_form_s2(p), *polys]
+        s_mat, s_vec = lvr_action.action_s_many(s, pr)
+        y = np.exp(s_mat + s_vec)
+    else:
+        y = np.exp(-n_r * pr.lam * traces[p - 1])
+    return (y, *(
+        sum(float(c.evaluate(n_l, n_r)) * math.prod(traces[q - 1] for q in mono.powers)
+            for mono, c in tp.items())
+        - float(moment(tp).evaluate(n_l, n_r))
+        for tp in polys
+    ))
+
+
+def test_rectangular_monte_carlo_subtracts_the_table_controls():
+    """Rectangular shapes take the square shapes' controls: z_lvr and
+    z_original draw the (seed, 4) pilot and then the (seed,) stream, and
+    their estimate is the controlled mean of reference_rows to rounding."""
     cfg = McConfig(n_samples=2 * MC_CHUNK + 1, seed=1234, n_workers=3)
     for p in (2, 3):
         pr = ModelParams(p=p, lam=LAM_C, n_l=2, n_r=3)
-
-        def original(m):
-            return np.exp(-3 * pr.lam * oracle._trace_powers(oracle._gram(m), p)[-1])
-
-        plain = {"lvr": lambda m: np.exp(s_of_matrices(pr, m)), "original": original}
         for mode, fn in (("lvr", z_lvr), ("original", z_original)):
             spy = mock.Mock(wraps=oracle._mc_mean)
             with mock.patch.object(oracle, "_mc_mean", spy):
                 got = fn(pr, cfg)
-            assert spy.call_count == 1
-            mean, err = oracle._mc_mean(plain[mode], (1234,), cfg, (2, 3))
-            assert (got.value, got.error_estimate) == (complex(mean[0]), err)
+            assert [c.args[1] for c in spy.call_args_list] == [(1234, 4), (1234,)]
+            k = p + 2 if mode == "lvr" else p
+            mean, err = oracle._controlled_mean(
+                lambda m: reference_rows(pr, mode, m), k, (1234,), (1234, 4), cfg, (2, 3)
+            )
+            assert abs(got.value - mean[0]) <= 1e-12 * abs(mean[0])
+            assert got.error_estimate == pytest.approx(err, rel=1e-9)
             assert (got.value, got.error_estimate) == PINNED_RECTANGULAR[mode, p]
+
+
+@pytest.mark.parametrize("n_l, n_r", [(2, 3), (1, 3), (3, 4)])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_rectangular_controls_beat_the_plain_estimator_on_held_out_draws(seed, n_l, n_r):
+    """At seeds the controls were not tuned on, the controlled estimate of
+    either representation has a smaller standard error than the plain mean
+    of its weights on an independent stream, and the two agree within 4
+    combined sigma."""
+    cfg = McConfig(n_samples=20000, seed=seed, n_workers=2)
+    for p in (2, 3):
+        pr = ModelParams(p=p, lam=LAM_C, n_l=n_l, n_r=n_r)
+        for mode, fn in (("lvr", z_lvr), ("original", z_original)):
+            est = fn(pr, cfg)
+            rows = oracle._mc_rows(pr, mode)[0]
+            mean, plain_err = oracle._mc_mean(lambda m: rows(m)[0], (seed, 9), cfg, (n_l, n_r))
+            assert est.error_estimate < plain_err, (p, mode)
+            assert abs(est.value - mean[0]) <= 4 * math.hypot(est.error_estimate, plain_err), (p, mode)
 
 
 # the entry-by-entry small-matrix layer
@@ -643,20 +689,26 @@ def test_small_monte_carlo_calls_no_eigensolver(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_vertex_control_traces_are_numpys_sums(n):
-    """_vertex_controls sums s_i^q over i left to right; at float dtype
-    and fewer than 8 terms that is np.sum's order, to the bit."""
-    pr = ModelParams(p=3, lam=LAM_C, n_l=n, n_r=n)
-    s = np.random.default_rng(n).uniform(0.0, 4.0, (1000, n))
-    traces = np.cumprod(np.broadcast_to(s, (4, *s.shape)), axis=0).sum(axis=2)
-    terms, means = [], []
-    for tp in (closed_form_s1(3), closed_form_s2(3)):
-        terms.append([(float(c.evaluate(n, n) * n**mono.tr0), mono.powers) for mono, c in tp.items()])
-        means.append(float(moment(tp, square=True).evaluate(n, n)))
-    want = np.stack([
-        sum(c * math.prod(traces[q - 1] for q in powers) for c, powers in t) - mean
-        for t, mean in zip(terms, means)
-    ])
-    assert np.array_equal(oracle._vertex_controls(pr)(s), want)
+    """_vertex_rows sums s_i^q over i left to right; at float dtype and
+    fewer than 8 terms that is np.sum's order, so its control rows are the
+    closed forms of S1 and S2 and the power sums, less the means of
+    _control_table, to the bit, at N x N and N x (N + 1)."""
+    for n_r in (n, n + 1):
+        pr = ModelParams(p=3, lam=LAM_C, n_l=n, n_r=n_r)
+        raw = np.random.default_rng(n_r).standard_normal((1000, n, n_r, 2))
+        m = raw[..., 0] + 1j * raw[..., 1]
+        s = oracle._spectra(m)
+        traces = np.cumprod(np.broadcast_to(s, (4, *s.shape)), axis=0).sum(axis=2)
+        table = oracle._control_table(3, n, n_r, 2, 3)
+        polys = [closed_form_s1(3), closed_form_s2(3)]
+        polys += [TracePolynomial.single(TraceMonomial((q,))) for q in (1, 2, 3)]
+        want = np.stack([
+            sum(float(c.evaluate(n, n_r)) * math.prod(traces[q - 1] for q in mono.powers)
+                for mono, c in tp.items())
+            - mean
+            for tp, (_, mean) in zip(polys, table)
+        ])
+        assert np.array_equal(np.stack(oracle._vertex_rows(pr, table, m)[1:]), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -700,7 +752,7 @@ def test_non_finite_kernel_raises_through_z_lvr(monkeypatch):
         return np.full(len(s), np.inf + 0j), np.zeros(len(s))
 
     monkeypatch.setattr(oracle, "action_s_many", infinite)
-    # the square shape's pilot sees it first, the rectangular shape's one run
+    # each shape's pilot sees it first
     for n_r in (2, 3):
         with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure):
             z_lvr(ModelParams(p=2, lam=0.05, n_l=2, n_r=n_r), McConfig(n_samples=100, seed=1))
